@@ -8,12 +8,12 @@ a few standard errors everywhere on the grid.
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lindof.assignment import build_assignment
+from lindof.cli import parse_fraction
 from lindof.montecarlo import estimate_pudof
 from lindof.network import derive_seed
 from lindof.oracle import exact_expected_dof
@@ -22,14 +22,12 @@ from lindof.oracle import exact_expected_dof
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--f", default="3/5")
+    parser.add_argument("--f", type=parse_fraction, default="3/5")
     parser.add_argument("--trials", type=int, default=6000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    num, _, den = args.f.partition("/")
-    f = Fraction(int(num), int(den or 1))
-    a = build_assignment(args.k, f)
+    a = build_assignment(args.k, args.f)
     print(f"{'p':>5}  {'exact':>8}  {'sampled':>8}  {'stderr':>8}  {'sigma':>6}")
     worst = 0.0
     for pi in range(0, 11):

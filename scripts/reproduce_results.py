@@ -47,7 +47,6 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = SweepConfig(
-        k=100,
         assignments=FAMILY,
         p_step=args.p_step,
         trials=args.trials,

@@ -23,12 +23,13 @@ from .montecarlo import (
     AssignmentSpec,
     SweepConfig,
     best_assignment_table,
+    open_atomic,
     read_sweep_csv,
     sweep,
     write_sweep_csv,
 )
 from .network import (
-    NetworkRealization,
+    all_realizations,
     attach_generic_coefficients,
     derive_seed,
     parse_realization,
@@ -70,7 +71,7 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def write_manifest(path: str, entries: dict) -> None:
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         for key, value in entries.items():
             fh.write(f"{key}={value}\n")
 
@@ -78,7 +79,6 @@ def write_manifest(path: str, entries: dict) -> None:
 def cmd_sweep(args) -> int:
     fractions = [parse_fraction(text) for text in args.f]
     cfg = SweepConfig(
-        k=args.k,
         assignments=tuple(AssignmentSpec(args.k, f) for f in fractions),
         p_start=args.p_start,
         p_end=args.p_end,
@@ -141,11 +141,7 @@ def cmd_verify(args) -> int:
     if args.mode == "exhaustive":
         for k in range(3, args.k_max + 1):
             family = _verify_family(k, args.random_assignments, args.seed)
-            links = 2 * k - 1
-            for bits in range(1 << links):
-                direct = tuple(bool(bits >> i & 1) for i in range(k))
-                cross = tuple(bool(bits >> (k + i) & 1) for i in range(k - 1))
-                r = NetworkRealization(k, direct, cross)
+            for r in all_realizations(k):
                 for a in family:
                     greedy = len(schedule_network(r, a).delivered)
                     best = optimal_zero_forcing_dof(r, a)
@@ -234,7 +230,7 @@ def cmd_table(args) -> int:
         ties = ", ".join(row.ties) if row.ties else "-"
         print(f"{row.p:>6.3g}  {row.best:<{width}}  {row.mean:>10.6g}  {ties}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open_atomic(args.out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["p", "best", "mean", "stderr", "ties"])
             for row in table:

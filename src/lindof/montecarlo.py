@@ -9,10 +9,12 @@ come out exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -57,14 +59,12 @@ class AssignmentSpec:
 class SweepConfig:
     """One sweep: an erasure-probability grid crossed with assignments.
 
-    `k` is the default network size (the CLI builds every descriptor with
-    it); each AssignmentSpec still carries its own size so one sweep can
-    mix sizes. With `share_realizations` all assignments at a grid point
-    reuse the same trial seeds (common random numbers), sharpening
-    comparisons between them.
+    Each AssignmentSpec carries its own size, so one sweep can mix sizes.
+    With `share_realizations` all assignments at a grid point reuse the
+    same trial seeds (common random numbers), sharpening comparisons
+    between them.
     """
 
-    k: int
     assignments: tuple[AssignmentSpec, ...]
     p_start: float = 0.0
     p_end: float = 1.0
@@ -113,15 +113,12 @@ def _dof_sums(
     master_seed: int,
     t_first: int,
     t_last: int,
-    deactivate_last: bool,
 ) -> tuple[int, int]:
     """Sum and sum-of-squares of delivered counts over a trial range."""
     total = 0
     total_sq = 0
     for t in range(t_first, t_last):
         r = sample_realization(k, p, derive_seed(master_seed, t))
-        if deactivate_last and r.direct[-1]:
-            r = replace(r, direct=r.direct[:-1] + (False,))
         d = len(schedule_network(r, assignment).delivered)
         total += d
         total_sq += d * d
@@ -145,9 +142,9 @@ def estimate_pudof(
 
     Trial t draws its realization from derive_seed(master_seed, t);
     `deactivate_last` silences the last transmitter (dropped from every
-    transmit set, direct link forced dead) so the measured value survives
-    concatenating copies of the network. Integer accumulation makes the
-    result independent of `workers`.
+    transmit set) so the measured value survives concatenating copies of
+    the network. Integer accumulation makes the result independent of
+    `workers`; the process pool never grows past os.cpu_count().
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -157,16 +154,10 @@ def estimate_pudof(
         assignment = remove_transmitter(assignment, k)
     blocks = _blocks(trials, workers)
     if workers <= 1 or len(blocks) == 1:
-        sums = [
-            _dof_sums(k, p, assignment, master_seed, t0, t1, deactivate_last)
-            for t0, t1 in blocks
-        ]
+        sums = [_dof_sums(k, p, assignment, master_seed, t0, t1) for t0, t1 in blocks]
     else:
-        jobs = [
-            (k, p, assignment, master_seed, t0, t1, deactivate_last)
-            for t0, t1 in blocks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        jobs = [(k, p, assignment, master_seed, t0, t1) for t0, t1 in blocks]
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             sums = list(pool.map(_dof_sums_star, jobs))
     total = sum(s for s, _ in sums)
     total_sq = sum(q for _, q in sums)
@@ -217,8 +208,23 @@ def sweep(
     return tuple(rows)
 
 
+@contextlib.contextmanager
+def open_atomic(path, newline=None):
+    """Text handle on a temporary file beside `path` that os.replace
+    moves over `path` once the block succeeds; if the block raises, the
+    temporary file is removed and `path` keeps its old bytes."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in rows:

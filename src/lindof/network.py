@@ -9,6 +9,7 @@ links carry generic complex gains.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,6 +107,20 @@ def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
         tuple(bool(x) for x in present[:k]),
         tuple(bool(x) for x in present[k:]),
     )
+
+
+def all_realizations(k: int) -> Iterator[NetworkRealization]:
+    """Every erasure pattern of a k-user line, one at a time, in bit order.
+
+    Pattern ``bits`` = 0 .. 2^(2k-1)-1 keeps direct link i iff bit i-1 is
+    set and cross link j iff bit k+j-1 is set.
+    """
+    for bits in range(1 << (2 * k - 1)):
+        yield NetworkRealization(
+            k,
+            tuple(bool(bits >> i & 1) for i in range(k)),
+            tuple(bool(bits >> (k + i) & 1) for i in range(k - 1)),
+        )
 
 
 def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> NetworkRealization:

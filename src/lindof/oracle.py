@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .assignment import MessageAssignment, remove_transmitter
-from .network import NetworkRealization
+from .network import NetworkRealization, all_realizations
 from .scheduler import schedule_network
 
 ORACLE_K_LIMIT = 10  # exhaustive carrier search
@@ -123,12 +123,7 @@ def _carrier_options(
     return options
 
 
-def optimal_zero_forcing_dof(
-    r: NetworkRealization,
-    a: MessageAssignment,
-    *,
-    k_limit: int = ORACLE_K_LIMIT,
-) -> int:
+def optimal_zero_forcing_dof(r: NetworkRealization, a: MessageAssignment) -> int:
     """Largest |delivered set| over all feasible carrier configurations.
 
     The feasibility predicate couples each message's carriers only with
@@ -139,8 +134,8 @@ def optimal_zero_forcing_dof(
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
-    if r.k > k_limit:
-        raise ValueError(f"exhaustive search limited to k <= {k_limit}, got k={r.k}")
+    if r.k > ORACLE_K_LIMIT:
+        raise ValueError(f"exhaustive search limited to k <= {ORACLE_K_LIMIT}, got k={r.k}")
     deliverable = []
     options = []
     for m in range(1, r.k + 1):
@@ -179,8 +174,8 @@ def exact_expected_dof(
 
     Adds DoF(pattern) * p^(#erased) * (1-p)^(#survived) over the
     2^(2k-1) patterns. With `deactivate_last` the last transmitter is
-    removed from every transmit set and its direct link forced dead,
-    mirroring the Monte Carlo harness. The result is a polynomial in p
+    removed from every transmit set, mirroring the Monte Carlo harness;
+    its direct link then carries nothing. The result is a polynomial in p
     evaluated by compensated summation, so it is order-independent.
     """
     if not 0.0 <= p <= 1.0:
@@ -207,17 +202,11 @@ def exact_expected_dof(
             return len(schedule_network(r, a).delivered)
         return optimal_zero_forcing_dof(r, a)
 
-    links = 2 * k - 1
     counts: dict[tuple[int, int], int] = {}
-    for bits in range(1 << links):
-        direct = tuple(bool(bits >> i & 1) for i in range(k))
-        cross = tuple(bool(bits >> (k + i) & 1) for i in range(k - 1))
-        erased = links - bits.bit_count()
-        if deactivate_last:
-            direct = direct[:-1] + (False,)
-        d = compute(NetworkRealization(k, direct, cross))
-        key = (erased, d)
+    for r in all_realizations(k):
+        key = (r.direct.count(False) + r.cross.count(False), compute(r))
         counts[key] = counts.get(key, 0) + 1
+    links = 2 * k - 1
     return math.fsum(
         n * d * p**e * (1.0 - p) ** (links - e)
         for (e, d), n in sorted(counts.items())

@@ -29,6 +29,7 @@ from lindof.assignment import (
 from lindof.montecarlo import estimate_pudof
 from lindof.network import (
     NetworkRealization,
+    all_realizations,
     attach_generic_coefficients,
     derive_seed,
     partition_into_clusters,
@@ -70,11 +71,7 @@ def test_criterion_1_oracle_equivalence():
         rng = np.random.default_rng(derive_seed(ACC_SEED, k))
         family = [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
         family += [random_assignment(k, rng) for _ in range(20)]
-        links = 2 * k - 1
-        for bits in range(1 << links):
-            direct = tuple(bool(bits >> i & 1) for i in range(k))
-            cross = tuple(bool(bits >> (k + i) & 1) for i in range(k - 1))
-            r = NetworkRealization(k, direct, cross)
+        for r in all_realizations(k):
             for a in family:
                 greedy = dof(schedule_network(r, a))
                 best = optimal_zero_forcing_dof(r, a)

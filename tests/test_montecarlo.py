@@ -1,8 +1,12 @@
+import contextlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from lindof import montecarlo
 from lindof.assignment import MessageAssignment, build_assignment
+from lindof.cli import write_manifest
 from lindof.montecarlo import (
     AssignmentSpec,
     SweepConfig,
@@ -45,6 +49,21 @@ class TestEstimate:
         two = estimate_pudof(8, 0.4, a, 400, 9, workers=2)
         assert one == again == two
 
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
+        # the fake pool records its size and maps serially: no process starts
+        sizes = []
+
+        def serial_pool(max_workers):
+            sizes.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        a = build_assignment(8, 0)
+        clamped = estimate_pudof(8, 0.4, a, 50, 9, workers=100_000)
+        assert sizes == [3]
+        assert clamped == estimate_pudof(8, 0.4, a, 50, 9, workers=1)
+
     def test_estimator_unbiased_across_reruns(self):
         # deterministic given the seeds; 4-sigma misses are ~1e-4 likely
         a = build_assignment(4, 0)
@@ -70,7 +89,6 @@ class TestEstimate:
 class TestSweep:
     def _cfg(self, **kw):
         base = dict(
-            k=5,
             assignments=(AssignmentSpec(5, Fraction(3, 5)),),
             p_start=0.0,
             p_end=1.0,
@@ -102,6 +120,25 @@ class TestSweep:
         write_sweep_csv(sweep(self._cfg()), path)
         assert path.read_bytes() == first
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("write interrupted")
+
+        def rows_then_failure():
+            yield from sweep(self._cfg())
+            raise RuntimeError("write interrupted")
+
+        path = tmp_path / "out.csv"
+        write_sweep_csv(sweep(self._cfg(trials=2)), path)
+        write_manifest(str(path) + ".manifest", {"seed": 1})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(RuntimeError):
+            write_sweep_csv(rows_then_failure(), path)
+        with pytest.raises(RuntimeError):
+            write_manifest(str(path) + ".manifest", {"seed": 2, "bad": Unprintable()})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_shared_realizations_share_seeds(self):
         cfg = self._cfg(
             assignments=(AssignmentSpec(5, Fraction(3, 5)), AssignmentSpec(5, Fraction(0))),
@@ -128,7 +165,6 @@ class TestBestAssignmentTable:
     def test_single_assignment_wins_everywhere(self):
         rows = sweep(
             SweepConfig(
-                k=5,
                 assignments=(AssignmentSpec(5, Fraction(3, 5)),),
                 p_step=0.5,
                 trials=3,

@@ -9,6 +9,7 @@ from lindof.network import (
     MIN_GAIN_MAGNITUDE,
     Cluster,
     NetworkRealization,
+    all_realizations,
     attach_generic_coefficients,
     derive_seed,
     parse_realization,
@@ -141,6 +142,16 @@ class TestSerialization:
     def test_parse_errors_name_field(self, text, field):
         with pytest.raises(ValueError, match=field):
             parse_realization(text)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_all_realizations_in_bit_order(k):
+    # bit i-1 is direct link i, bit k+j-1 is cross link j
+    patterns = [
+        sum(x << b for b, x in enumerate(r.direct + r.cross))
+        for r in all_realizations(k)
+    ]
+    assert patterns == list(range(2 ** (2 * k - 1)))
 
 
 def test_derive_seed_stable_and_distinct():

@@ -1,12 +1,18 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
-from lindof.assignment import MessageAssignment, build_assignment, random_assignment
+from lindof.assignment import (
+    MessageAssignment,
+    build_assignment,
+    random_assignment,
+    remove_transmitter,
+)
 from lindof.network import (
-    NetworkRealization,
+    all_realizations,
     derive_seed,
     parse_realization,
     sample_realization,
@@ -22,14 +28,6 @@ from lindof.scheduler import dof, schedule_network
 # Frozen by running the 2^9-pattern enumeration once; the oracle engine
 # returns the identical value (see test_engines_agree_on_family).
 EXACT_K5_F35_P05 = 2.50390625
-
-
-def all_patterns(k):
-    links = 2 * k - 1
-    for bits in range(1 << links):
-        direct = tuple(bool(bits >> i & 1) for i in range(k))
-        cross = tuple(bool(bits >> (k + i) & 1) for i in range(k - 1))
-        yield NetworkRealization(k, direct, cross)
 
 
 def brute_force_over_configs(r, a):
@@ -148,8 +146,23 @@ class TestOptimalDof:
         for k in (3, 4, 5, 6):
             for f in (Fraction(0), Fraction(3, 5)):
                 a = build_assignment(k, f)
-                for r in all_patterns(k):
+                for r in all_realizations(k):
                     assert optimal_zero_forcing_dof(r, a) == dof(schedule_network(r, a))
+
+    def test_deactivated_direct_link_is_never_read(self):
+        # Once transmitter k is in no transmit set, the survival of its
+        # direct link changes neither the greedy schedule nor the optimum.
+        for k in range(1, 7):
+            rng = np.random.default_rng(derive_seed(61, k))
+            family = [random_assignment(k, rng) for _ in range(4)]
+            if k >= 3:
+                family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
+            for a in family:
+                a = remove_transmitter(a, k)
+                for r in all_realizations(k):
+                    dead = replace(r, direct=r.direct[:-1] + (False,))
+                    assert schedule_network(r, a) == schedule_network(dead, a)
+                    assert optimal_zero_forcing_dof(r, a) == optimal_zero_forcing_dof(dead, a)
 
     def test_monotone_under_enrichment(self):
         rng = np.random.default_rng(41)

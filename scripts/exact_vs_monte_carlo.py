@@ -19,10 +19,18 @@ from lindof.network import derive_seed
 from lindof.oracle import exact_expected_dof
 
 
+def fraction_arg(text: str):
+    """`parse_fraction` as an argparse type that keeps its error message."""
+    try:
+        return parse_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--f", type=parse_fraction, default="3/5")
+    parser.add_argument("--f", type=fraction_arg, default="3/5")
     parser.add_argument("--trials", type=int, default=6000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

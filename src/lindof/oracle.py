@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .assignment import MessageAssignment, remove_transmitter
-from .network import NetworkRealization, all_realizations
-from .scheduler import schedule_network
+from .network import NetworkRealization, all_realizations, realization_chunks
+from .scheduler import decision_pass
 
 ORACLE_K_LIMIT = 10  # exhaustive carrier search
 EXACT_SCHEDULER_K_LIMIT = 12  # 2^(2k-1) patterns through the scheduler
@@ -175,8 +177,13 @@ def exact_expected_dof(
     Adds DoF(pattern) * p^(#erased) * (1-p)^(#survived) over the
     2^(2k-1) patterns. With `deactivate_last` the last transmitter is
     removed from every transmit set, mirroring the Monte Carlo harness;
-    its direct link then carries nothing. The result is a polynomial in p
-    evaluated by compensated summation, so it is order-independent.
+    its direct link then carries nothing. The scheduler engine runs
+    `decision_pass` on chunks of up to 2^12 patterns at once (one bool row
+    per link, one column per pattern, from `realization_chunks`); the
+    oracle engine takes one realization at a time. Either way the
+    patterns are tallied as integer (erased links, DoF) counts, so the
+    result is a polynomial in p evaluated by compensated summation, and
+    it is order-independent.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
@@ -196,17 +203,21 @@ def exact_expected_dof(
         raise ValueError(f"unknown engine {engine!r}, use 'scheduler' or 'oracle'")
     if deactivate_last:
         a = remove_transmitter(a, k)
-
-    def compute(r: NetworkRealization) -> int:
-        if engine == "scheduler":
-            return len(schedule_network(r, a).delivered)
-        return optimal_zero_forcing_dof(r, a)
-
-    counts: dict[tuple[int, int], int] = {}
-    for r in all_realizations(k):
-        key = (r.direct.count(False) + r.cross.count(False), compute(r))
-        counts[key] = counts.get(key, 0) + 1
     links = 2 * k - 1
+    counts: dict[tuple[int, int], int] = {}
+    if engine == "scheduler":
+        width = k + 1  # delivered counts 0..k
+        tally = np.zeros((links + 1) * width, dtype=np.int64)
+        for direct, cross in realization_chunks(k):
+            erased = links - sum(direct + cross)
+            delivered = decision_pass(direct, cross, a.transmit_sets)
+            tally += np.bincount(erased * width + delivered, minlength=tally.size)
+        for key in np.flatnonzero(tally):
+            counts[divmod(int(key), width)] = int(tally[key])
+    else:
+        for r in all_realizations(k):
+            key = (r.direct.count(False) + r.cross.count(False), optimal_zero_forcing_dof(r, a))
+            counts[key] = counts.get(key, 0) + 1
     return math.fsum(
         n * d * p**e * (1.0 - p) ** (links - e)
         for (e, d), n in sorted(counts.items())

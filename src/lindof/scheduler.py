@@ -1,19 +1,21 @@
 """Greedy zero-forcing scheduler and beamforming-weight construction.
 
-Users are visited in ascending order, once per cluster. A message is sent
-whenever it can reach its own receiver without disturbing a receiver that
-was already won, preferring delivery from the preceding transmitter; a
-neighbouring transmitter that knows the message may be enlisted to null
-the one receiver the delivery would disturb. Decisions are never revised.
+Users are visited in ascending order in one scan; an erased cross link
+starts a new cluster, which the scan decides as if it stood alone. A
+message is sent whenever it can reach its own receiver without disturbing
+a receiver that was already won, preferring delivery from the preceding
+transmitter; a neighbouring transmitter that knows the message may be
+enlisted to null the one receiver the delivery would disturb. Decisions
+are never revised.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .assignment import MessageAssignment
-from .network import NetworkRealization, partition_into_clusters
+from .network import NetworkRealization
 
 # Verification thresholds: desired coefficients are bounded away from
 # zero by the gain floor, interference must vanish to rounding noise.
@@ -39,60 +41,85 @@ class Schedule:
         return (i, j) in self.entries
 
 
-def _delivered(entries: set[tuple[int, int]]) -> frozenset[int]:
-    return frozenset(i for i, j in entries if j in (i - 1, i))
+def decision_pass(
+    direct: Sequence,
+    cross: Sequence,
+    transmit_sets: Sequence[frozenset[int]],
+    record: Callable[[tuple], object] | None = None,
+):
+    """The greedy pass as one left-to-right scan; returns the delivered count.
 
+    `direct` holds k link bits, `cross` k-1 (cross link j joins users j
+    and j+1); `transmit_sets[i-1]` is message i's set. A bit is either a
+    Python bool or a numpy bool row with one column per realization: the
+    rule uses only `&`, `|` and `^ True`, so the same code serves one
+    realization or a batch, and the count is then one int per column.
 
-def _decision_pass(
-    direct: Sequence[bool],
-    tsets: Sequence[frozenset[int]],
-    start: int,
-    end: int,
-) -> set[tuple[int, int]]:
-    """Run the greedy pass over the span start..end (one cluster).
-
-    Indices are global; cross links strictly inside the span are taken to
-    be present (cluster property) and transmitters before `start` belong
-    to another cluster, hence are ignored. With every decision variable
-    outside the span reading as 0, the first two users of a span need no
-    special treatment: the general rules already reduce to the right
-    boundary behaviour.
+    User i reads the decisions of users i-1 and i-2 only, and only while
+    they share its cluster: `near` says user i-1 does (cross link i-1
+    survived), `near2` says user i-2 does too. An erased cross link thus
+    resets the scan, which is the cluster split. With `record`, every user
+    i is reported as (i, own, prev, helper, cancel): message i sent from
+    transmitter i, from transmitter i-1, the helper (i, i-2) that goes
+    with the latter, and the cancellation (i-1, i) that goes with the
+    former.
     """
-    b: set[tuple[int, int]] = set()
-    for i in range(start, end + 1):
-        ts = tsets[i - 1]
+    own1 = prev1 = cancel1 = own2 = prev2 = False  # decisions of users i-1, i-2
+    d1 = d2 = False  # direct links of users i-1, i-2
+    near = False
+    ts1 = frozenset()  # transmit set of message i-1
+    delivered = 0
+    for i, ts in enumerate(transmit_sets, start=1):
+        d0 = direct[i - 1]
+        link = cross[i - 2] if i > 1 else False
+        near2 = near & link
+        near = link
+        own1_near = own1 & near
         # Try the preceding transmitter first: its signal can only disturb
         # receiver i-1, and only when that receiver is active through its
         # own direct link; a helper at transmitter i-2 may null that.
-        if i - 1 >= start and i - 1 in ts and (i - 1, i - 1) not in b:
-            if not direct[i - 2] or (i - 1, i - 2) not in b:
-                b.add((i, i - 1))
-            elif (
-                i - 2 >= start
-                and i - 2 in ts
-                and (
-                    not direct[i - 3]
-                    or ((i - 2, i - 2) not in b and (i - 2, i - 3) not in b)
-                )
-            ):
-                b.add((i, i - 1))
-                b.add((i, i - 2))
+        back = near & (i - 1 in ts) & (own1_near ^ True)
+        plain = (d1 ^ True) | (prev1 ^ True)
+        can_help = near2 & (i - 2 in ts) & ((d2 ^ True) | ((own2 | prev2) ^ True))
+        prev = back & (plain | can_help)
+        helper = back & (plain ^ True) & can_help
         # Otherwise send from the own transmitter. Receiver i must not
         # already be burdened by an uncancellable emission at transmitter
         # i-1; interference from a self-delivering transmitter i-1 can be
         # nulled from transmitter i when it also knows message i-1.
-        if (
-            direct[i - 1]
-            and i in ts
-            and (i, i - 1) not in b
-            and (i - 2, i - 1) not in b
-        ):
-            if (i - 1, i - 1) not in b:
-                b.add((i, i))
-            elif i in tsets[i - 2]:
-                b.add((i, i))
-                b.add((i - 1, i))
-    return b
+        own = (
+            d0
+            & (i in ts)
+            & (prev ^ True)
+            & ((cancel1 & near) ^ True)
+            & ((own1_near ^ True) | (i in ts1))
+        )
+        cancel = own & own1_near
+        if record is not None:
+            record((i, own, prev, helper, cancel))
+        delivered = delivered + (own | prev)
+        own2, prev2, d2 = own1, prev1, d1
+        own1, prev1, cancel1, d1, ts1 = own, prev, cancel, d0, ts
+    return delivered
+
+
+def _schedule(k, direct, cross, transmit_sets) -> Schedule:
+    decisions = []
+    decision_pass(direct, cross, transmit_sets, decisions.append)
+    entries = []
+    delivered = []
+    for i, own, prev, helper, cancel in decisions:
+        if own:
+            entries.append((i, i))
+            delivered.append(i)
+            if cancel:
+                entries.append((i - 1, i))
+        elif prev:
+            entries.append((i, i - 1))
+            delivered.append(i)
+            if helper:
+                entries.append((i, i - 2))
+    return Schedule(k, frozenset(entries), frozenset(delivered))
 
 
 def schedule_cluster(
@@ -116,23 +143,20 @@ def schedule_cluster(
             raise ValueError(f"message {i}: at most two transmitters allowed")
         if any(t < 1 or t > n for t in ts):
             raise ValueError(f"message {i}: transmitter indices must lie in 1..{n}")
-    entries = _decision_pass(tuple(direct), tuple(transmit_sets), 1, n)
-    return Schedule(n, frozenset(entries), _delivered(entries))
+    return _schedule(n, tuple(direct), (True,) * (n - 1), transmit_sets)
 
 
 def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
-    """Schedule a whole realization cluster by cluster.
+    """Schedule a whole realization in one scan.
 
-    Clusters cannot interfere with each other, so the pass runs once per
-    cluster with out-of-cluster transmitters ignored, and the decisions
-    are merged on global indices.
+    Clusters cannot interfere with each other. They come from the cross
+    link bits the scan reads, not from `partition_into_clusters`: an
+    erased cross link hides users before it from the users after it, so
+    every cluster is decided as if it stood alone.
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
-    entries: set[tuple[int, int]] = set()
-    for cluster in partition_into_clusters(r):
-        entries |= _decision_pass(r.direct, a.transmit_sets, cluster.start, cluster.end)
-    return Schedule(r.k, frozenset(entries), _delivered(entries))
+    return _schedule(r.k, r.direct, r.cross, a.transmit_sets)
 
 
 def dof(s: Schedule) -> int:

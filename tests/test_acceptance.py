@@ -28,7 +28,6 @@ from lindof.assignment import (
 )
 from lindof.montecarlo import estimate_pudof
 from lindof.network import (
-    NetworkRealization,
     all_realizations,
     attach_generic_coefficients,
     derive_seed,
@@ -232,7 +231,7 @@ def test_criterion_7_property_suite():
         deactivate = bool(rng.integers(0, 2))
         if deactivate:
             a_run = remove_transmitter(a, k)
-            r_run = NetworkRealization(k, r.direct[:-1] + (False,), r.cross)
+            r_run = r
         else:
             a_run, r_run = a, r
         s = schedule_network(r_run, a_run)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
@@ -184,7 +185,34 @@ class TestOptimalDof:
                     break
 
 
+def per_pattern_expected_dof(k, p, a):
+    """Small reference: schedule each pattern alone and sum like the engine."""
+    counts = {}
+    for r in all_realizations(k):
+        key = (r.direct.count(False) + r.cross.count(False), dof(schedule_network(r, a)))
+        counts[key] = counts.get(key, 0) + 1
+    links = 2 * k - 1
+    return math.fsum(
+        n * d * p**e * (1.0 - p) ** (links - e) for (e, d), n in sorted(counts.items())
+    )
+
+
 class TestExactExpectedDof:
+    def test_batched_scheduler_engine_equals_per_pattern_sum(self):
+        # K=7 has 2^13 patterns, so the batch spans more than one chunk.
+        for k in range(1, 8):
+            rng = np.random.default_rng(derive_seed(63, k))
+            family = [random_assignment(k, rng)]
+            if k >= 3:
+                family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
+            for a in family:
+                for deactivate in (False, True):
+                    run = remove_transmitter(a, k) if deactivate else a
+                    for p in (0.0, 0.35, 1.0):
+                        assert exact_expected_dof(
+                            k, p, a, deactivate_last=deactivate
+                        ) == per_pattern_expected_dof(k, p, run)
+
     def test_k1_single_link(self):
         a = MessageAssignment(1, (frozenset({1}),))
         for p in (0.0, 0.25, 0.5, 1.0):

@@ -3,9 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lindof.assignment import build_assignment, random_assignment, restrict_to_cluster
+from lindof.assignment import (
+    build_assignment,
+    random_assignment,
+    remove_transmitter,
+    restrict_to_cluster,
+)
 from lindof.network import (
     NetworkRealization,
+    all_realizations,
     attach_generic_coefficients,
     derive_seed,
     parse_realization,
@@ -16,6 +22,7 @@ from lindof.scheduler import (
     BeamformingPlan,
     Schedule,
     build_transmit_signals,
+    decision_pass,
     dof,
     schedule_cluster,
     schedule_network,
@@ -81,6 +88,26 @@ class TestScheduleNetwork:
         r = parse_realization("4;1111;111")
         with pytest.raises(ValueError):
             schedule_network(r, build_assignment(5, 0))
+
+
+class TestBatchedDecisionPass:
+    def test_columns_match_schedule_network(self):
+        # The same rule on bool rows, one column per pattern, counts what
+        # schedule_network delivers on each pattern alone.
+        for k in range(1, 7):
+            rng = np.random.default_rng(derive_seed(62, k))
+            family = [random_assignment(k, rng) for _ in range(4)]
+            if k >= 3:
+                family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
+            family += [remove_transmitter(a, k) for a in family]
+            patterns = list(all_realizations(k))
+            direct = [np.array([r.direct[i] for r in patterns]) for i in range(k)]
+            cross = [np.array([r.cross[j] for r in patterns]) for j in range(k - 1)]
+            for a in family:
+                counts = decision_pass(direct, cross, a.transmit_sets)
+                assert counts.tolist() == [
+                    len(schedule_network(r, a).delivered) for r in patterns
+                ]
 
 
 class TestScheduleInvariants:

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Compare the Monte Carlo estimator against exact pattern enumeration.
+"""Compare the Monte Carlo estimator against the exact expectation.
 
-At K=5 the 2^9 erasure patterns enumerate instantly, giving the exact
-expected delivered fraction; the sampled estimate should track it within
-a few standard errors everywhere on the grid.
+`exact_expected_dof` gives the exact expected delivered fraction at any
+K: it runs a DP over the greedy scan's states instead of enumerating the
+2^(2K-1) erasure patterns. The sampled estimate should track it within a
+few standard errors everywhere on the grid.
 """
 
 import argparse
@@ -27,11 +28,26 @@ def fraction_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def int_at_least(low: int):
+    """An argparse type for integers of at least `low` that names the bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--k", type=int_at_least(3), default=5)
     parser.add_argument("--f", type=fraction_arg, default="3/5")
-    parser.add_argument("--trials", type=int, default=6000)
+    parser.add_argument("--trials", type=int_at_least(1), default=6000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

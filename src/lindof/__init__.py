@@ -37,8 +37,6 @@ from .network import (
 )
 from .oracle import (
     CarrierConfig,
-    EXACT_ORACLE_K_LIMIT,
-    EXACT_SCHEDULER_K_LIMIT,
     ORACLE_K_LIMIT,
     exact_expected_dof,
     feasible,

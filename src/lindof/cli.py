@@ -1,7 +1,7 @@
 """Command-line front end: sweeps, oracle verification, traces, tables.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 scheduler/oracle
-mismatch, 3 I/O failure.
+mismatch or a schedule that needs erased links, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -136,6 +136,12 @@ def _report_mismatch(r, a, greedy: int, best: int) -> str:
 def cmd_verify(args) -> int:
     if not 3 <= args.k_max <= ORACLE_K_LIMIT:
         raise ValueError(f"--k-max must lie in 3..{ORACLE_K_LIMIT}, got {args.k_max}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.random_assignments < 0:
+        raise ValueError(
+            f"--random-assignments must be at least 0, got {args.random_assignments}"
+        )
     checked = 0
     mismatches = []
     if args.mode == "exhaustive":
@@ -311,6 +317,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a schedule that needs erased links
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -18,11 +18,6 @@ import numpy as np
 # conditioned without changing which schedules are feasible.
 MIN_GAIN_MAGNITUDE = 1e-3
 
-# Patterns per chunk of `realization_chunks`: large enough to amortize
-# numpy's per-call cost, small enough that a chunk's bool rows stay near
-# 100 KB at K=12.
-PATTERN_CHUNK = 1 << 12
-
 
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Stable per-counter seed derived from a master seed.
@@ -118,8 +113,9 @@ def all_realizations(k: int) -> Iterator[NetworkRealization]:
     """Every erasure pattern of a k-user line, one at a time, in bit order.
 
     Pattern ``bits`` = 0 .. 2^(2k-1)-1 keeps direct link i iff bit i-1 is
-    set and cross link j iff bit k+j-1 is set. `realization_chunks`
-    yields the same patterns in the same order as columns of bool rows.
+    set and cross link j iff bit k+j-1 is set. This is the one
+    enumerator, for the exhaustive checks; `oracle.exact_expected_dof`
+    needs none, as it runs a DP over the scan's states instead.
     """
     for bits in range(1 << (2 * k - 1)):
         yield NetworkRealization(
@@ -127,22 +123,6 @@ def all_realizations(k: int) -> Iterator[NetworkRealization]:
             tuple(bool(bits >> i & 1) for i in range(k)),
             tuple(bool(bits >> (k + i) & 1) for i in range(k - 1)),
         )
-
-
-def realization_chunks(k: int) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
-    """The patterns of `all_realizations`, in the same order, as bool rows.
-
-    Each chunk covers the next PATTERN_CHUNK (or fewer, at the end)
-    values of ``bits`` and is returned as (direct rows, cross rows):
-    direct row i-1 is bit i-1 and cross row j-1 is bit k+j-1 of every
-    column, so the columns of the chunks, taken in order, are the
-    realizations `all_realizations` yields.
-    """
-    links = 2 * k - 1
-    for first in range(0, 1 << links, PATTERN_CHUNK):
-        bits = np.arange(first, min(first + PATTERN_CHUNK, 1 << links), dtype=np.uint32)
-        rows = [bits & np.uint32(1 << b) != 0 for b in range(links)]
-        yield rows[:k], rows[k:]
 
 
 def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> NetworkRealization:

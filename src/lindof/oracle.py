@@ -1,11 +1,12 @@
 """Brute-force ground truth for zero-forcing delivery.
 
 Enumerates carrier configurations to find the largest deliverable message
-set for a realization, independently of the greedy scheduler, and sums
-over all erasure patterns for exact expected delivery counts. Generic
-gains make feasibility purely combinatorial: a lone carrier must disturb
-no active receiver, a carrier pair has one free relative scale and can
-null exactly one receiver that both of them reach.
+set for a realization, independently of the greedy scheduler, and gives
+the greedy's exact expected delivery count over all erasure patterns by a
+DP over the scan's states. Generic gains make feasibility purely
+combinatorial: a lone carrier must disturb no active receiver, a carrier
+pair has one free relative scale and can null exactly one receiver that
+both of them reach.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .assignment import MessageAssignment, remove_transmitter
-from .network import NetworkRealization, all_realizations, realization_chunks
-from .scheduler import decision_pass
+from .network import NetworkRealization
+from .scheduler import LINE_START, decision_pass
 
 ORACLE_K_LIMIT = 10  # exhaustive carrier search
-EXACT_SCHEDULER_K_LIMIT = 12  # 2^(2k-1) patterns through the scheduler
-EXACT_ORACLE_K_LIMIT = 7  # 2^(2k-1) patterns through the oracle
 
 
 @dataclass(frozen=True)
@@ -169,55 +166,59 @@ def exact_expected_dof(
     k: int,
     p: float,
     a: MessageAssignment,
-    engine: str = "scheduler",
+    *,
     deactivate_last: bool = False,
 ) -> float:
-    """Expected delivered count, summed exactly over all erasure patterns.
+    """Expected delivered count of the greedy pass, exact over all patterns.
 
     Adds DoF(pattern) * p^(#erased) * (1-p)^(#survived) over the
     2^(2k-1) patterns. With `deactivate_last` the last transmitter is
     removed from every transmit set, mirroring the Monte Carlo harness;
-    its direct link then carries nothing. The scheduler engine runs
-    `decision_pass` on chunks of up to 2^12 patterns at once (one bool row
-    per link, one column per pattern, from `realization_chunks`); the
-    oracle engine takes one realization at a time. Either way the
-    patterns are tallied as integer (erased links, DoF) counts, so the
-    result is a polynomial in p evaluated by compensated summation, and
-    it is order-independent.
+    its direct link then carries nothing.
+
+    No pattern is listed. A forward DP runs `decision_pass` one user at a
+    time, once per distinct scan state and per value of the user's direct
+    link and the cross link before it, and merges equal states. Eight of
+    a state's fields are bits, so at most 2^8 states are live after any
+    user (20 on the K=100 family members). Each state counts the patterns
+    that reach it per (erased links, delivered) in one integer: their
+    generating polynomial, in x for an erased link and y for a delivery,
+    taken at powers of two wide enough that no count spills into the
+    next. The counts make the result a polynomial in p, evaluated by
+    compensated summation, so it is order-independent.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     if a.k != k:
         raise ValueError(f"assignment has k={a.k}, expected {k}")
-    if engine == "scheduler":
-        if k > EXACT_SCHEDULER_K_LIMIT:
-            raise ValueError(
-                f"scheduler engine limited to k <= {EXACT_SCHEDULER_K_LIMIT}, got k={k}"
-            )
-    elif engine == "oracle":
-        if k > EXACT_ORACLE_K_LIMIT:
-            raise ValueError(
-                f"oracle engine limited to k <= {EXACT_ORACLE_K_LIMIT}, got k={k}"
-            )
-    else:
-        raise ValueError(f"unknown engine {engine!r}, use 'scheduler' or 'oracle'")
     if deactivate_last:
         a = remove_transmitter(a, k)
     links = 2 * k - 1
-    counts: dict[tuple[int, int], int] = {}
-    if engine == "scheduler":
-        width = k + 1  # delivered counts 0..k
-        tally = np.zeros((links + 1) * width, dtype=np.int64)
-        for direct, cross in realization_chunks(k):
-            erased = links - sum(direct + cross)
-            delivered = decision_pass(direct, cross, a.transmit_sets)
-            tally += np.bincount(erased * width + delivered, minlength=tally.size)
-        for key in np.flatnonzero(tally):
-            counts[divmod(int(key), width)] = int(tally[key])
-    else:
-        for r in all_realizations(k):
-            key = (r.direct.count(False) + r.cross.count(False), optimal_zero_forcing_dof(r, a))
-            counts[key] = counts.get(key, 0) + 1
+    size = links // 8 + 1  # bytes per count; a count is below 2^links
+    x_shift = 8 * size  # x = 2^x_shift
+    y_shift = x_shift * (links + 1)  # y = 2^y_shift
+    direct = [False] * k
+    cross = [False] * (k - 1)
+    polys = {LINE_START: 1}
+    for i in range(1, k + 1):
+        upto = a.transmit_sets[:i]
+        reached: dict[tuple, int] = {}
+        for d0 in (False, True):
+            direct[i - 1] = d0
+            for link in (False, True) if i > 1 else (True,):  # user 1 has no cross link
+                if i > 1:
+                    cross[i - 2] = link
+                erased = 2 - d0 - link
+                for state, poly in polys.items():
+                    got, after = decision_pass(direct, cross, upto, state=state)
+                    shift = erased * x_shift + got * y_shift
+                    reached[after] = reached.get(after, 0) + (poly << shift)
+        polys = reached
+    raw = sum(polys.values()).to_bytes(size * (links + 1) * (k + 1), "little")
+    counts = {}
+    for at in range(0, len(raw), size):
+        d, e = divmod(at // size, links + 1)
+        counts[e, d] = int.from_bytes(raw[at : at + size], "little")
     return math.fsum(
         n * d * p**e * (1.0 - p) ** (links - e)
         for (e, d), n in sorted(counts.items())

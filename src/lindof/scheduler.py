@@ -41,13 +41,20 @@ class Schedule:
         return (i, j) in self.entries
 
 
+# Scan state before user 1. After user i the state is (i, message i's
+# transmit set, own/prev/cancel of user i, own/prev of user i-1, direct
+# links i and i-1, whether cross link i-1 survived); see `decision_pass`.
+LINE_START = (0, frozenset(), False, False, False, False, False, False, False, False)
+
+
 def decision_pass(
     direct: Sequence,
     cross: Sequence,
     transmit_sets: Sequence[frozenset[int]],
     record: Callable[[tuple], object] | None = None,
+    state: tuple = LINE_START,
 ):
-    """The greedy pass as one left-to-right scan; returns the delivered count.
+    """The greedy pass as one left-to-right scan; returns (delivered, state).
 
     `direct` holds k link bits, `cross` k-1 (cross link j joins users j
     and j+1); `transmit_sets[i-1]` is message i's set. A bit is either a
@@ -63,13 +70,17 @@ def decision_pass(
     transmitter i, from transmitter i-1, the helper (i, i-2) that goes
     with the latter, and the cancellation (i-1, i) that goes with the
     former.
+
+    The scan resumes after the last user of `state` (default: the start
+    of the line) and runs to the last message of `transmit_sets`; the
+    count covers the users it visited, and the state it returns resumes
+    it. User i reads direct link i and cross link i-1 only. On Python
+    bools the state is a hashable tuple, so `oracle.exact_expected_dof`
+    can run the scan one user at a time and merge equal states.
     """
-    own1 = prev1 = cancel1 = own2 = prev2 = False  # decisions of users i-1, i-2
-    d1 = d2 = False  # direct links of users i-1, i-2
-    near = False
-    ts1 = frozenset()  # transmit set of message i-1
+    i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near = state
     delivered = 0
-    for i, ts in enumerate(transmit_sets, start=1):
+    for i, ts in enumerate(transmit_sets[i:], start=i + 1):
         d0 = direct[i - 1]
         link = cross[i - 2] if i > 1 else False
         near2 = near & link
@@ -100,7 +111,7 @@ def decision_pass(
         delivered = delivered + (own | prev)
         own2, prev2, d2 = own1, prev1, d1
         own1, prev1, cancel1, d1, ts1 = own, prev, cancel, d0, ts
-    return delivered
+    return delivered, (i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near)
 
 
 def _schedule(k, direct, cross, transmit_sets) -> Schedule:

@@ -100,6 +100,15 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert "k-max" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--random-assignments", "-1")]
+    )
+    def test_count_guards(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--mode", "random", flag, value)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {flag} must be at least")
+        assert out == ""
+
 
 class TestTraceCommand:
     def test_full_network_trace(self, capsys):
@@ -122,6 +131,16 @@ class TestTraceCommand:
     def test_k_conflict_rejected(self, capsys):
         code, _, err = run(capsys, "trace", "--k", "4", "--f", "0", "5;11111;1111")
         assert code == EXIT_USAGE
+
+    def test_schedule_needing_erased_links_is_mismatch(self, capsys, monkeypatch):
+        def refuse(s, r):
+            raise RuntimeError("transmitter 2: cancelling message 1 needs links that are erased")
+
+        monkeypatch.setattr("lindof.cli.build_transmit_signals", refuse)
+        code, out, err = run(capsys, "trace", "--f", "3/5", "5;11111;1111")
+        assert code == EXIT_MISMATCH
+        assert err == "error: transmitter 2: cancelling message 1 needs links that are erased\n"
+        assert out == ""
 
     def test_sampled_realization(self, capsys):
         code, out, _ = run(

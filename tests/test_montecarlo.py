@@ -37,6 +37,13 @@ class TestEstimate:
             exact = exact_expected_dof(5, p, a, deactivate_last=True) / 5
             assert abs(mean - exact) <= 4 * stderr
 
+    def test_matches_exact_dp_at_k100(self):
+        a = build_assignment(100, Fraction(1, 2))
+        mean, stderr = estimate_pudof(100, 0.4, a, 4000, 100)
+        exact = exact_expected_dof(100, 0.4, a, deactivate_last=True) / 100
+        assert stderr > 0
+        assert abs(mean - exact) <= 5 * stderr
+
     def test_zero_trials_rejected(self):
         a = build_assignment(5, 0)
         with pytest.raises(ValueError):

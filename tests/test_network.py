@@ -14,7 +14,6 @@ from lindof.network import (
     derive_seed,
     parse_realization,
     partition_into_clusters,
-    realization_chunks,
     realization_to_string,
     sample_realization,
 )
@@ -145,7 +144,6 @@ class TestSerialization:
             parse_realization(text)
 
 
-# K=7 has 2^13 patterns, more than one chunk of realization_chunks.
 @pytest.mark.parametrize("k", range(1, 8))
 def test_all_realizations_in_bit_order(k):
     # bit i-1 is direct link i, bit k+j-1 is cross link j
@@ -154,17 +152,6 @@ def test_all_realizations_in_bit_order(k):
         for r in all_realizations(k)
     ]
     assert patterns == list(range(2 ** (2 * k - 1)))
-    # the chunked bool rows hold the same patterns, column by column
-    columns = [
-        NetworkRealization(
-            k,
-            tuple(bool(row[c]) for row in direct),
-            tuple(bool(row[c]) for row in cross),
-        )
-        for direct, cross in realization_chunks(k)
-        for c in range(len(direct[0]))
-    ]
-    assert columns == list(all_realizations(k))
 
 
 def test_derive_seed_stable_and_distinct():

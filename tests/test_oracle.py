@@ -26,8 +26,9 @@ from lindof.oracle import (
 )
 from lindof.scheduler import dof, schedule_network
 
-# Frozen by running the 2^9-pattern enumeration once; the oracle engine
-# returns the identical value (see test_engines_agree_on_family).
+# Frozen by running the 2^9-pattern enumeration once; the oracle's
+# per-pattern sum returns the identical value (see
+# test_engines_agree_on_family).
 EXACT_K5_F35_P05 = 2.50390625
 
 
@@ -185,11 +186,16 @@ class TestOptimalDof:
                     break
 
 
-def per_pattern_expected_dof(k, p, a):
-    """Small reference: schedule each pattern alone and sum like the engine."""
+def greedy_dof(r, a):
+    return dof(schedule_network(r, a))
+
+
+def per_pattern_expected_dof(k, p, a, count=greedy_dof):
+    """Small reference: count each pattern alone (greedy by default, or
+    `optimal_zero_forcing_dof`) and sum like `exact_expected_dof`."""
     counts = {}
     for r in all_realizations(k):
-        key = (r.direct.count(False) + r.cross.count(False), dof(schedule_network(r, a)))
+        key = (r.direct.count(False) + r.cross.count(False), count(r, a))
         counts[key] = counts.get(key, 0) + 1
     links = 2 * k - 1
     return math.fsum(
@@ -199,7 +205,6 @@ def per_pattern_expected_dof(k, p, a):
 
 class TestExactExpectedDof:
     def test_batched_scheduler_engine_equals_per_pattern_sum(self):
-        # K=7 has 2^13 patterns, so the batch spans more than one chunk.
         for k in range(1, 8):
             rng = np.random.default_rng(derive_seed(63, k))
             family = [random_assignment(k, rng)]
@@ -233,8 +238,9 @@ class TestExactExpectedDof:
             for f in (Fraction(0), Fraction(3, 5)):
                 a = build_assignment(k, f)
                 for p in (0.2, 0.5, 0.8):
-                    assert exact_expected_dof(k, p, a, "scheduler") == pytest.approx(
-                        exact_expected_dof(k, p, a, "oracle"), abs=1e-12
+                    assert exact_expected_dof(k, p, a) == pytest.approx(
+                        per_pattern_expected_dof(k, p, a, optimal_zero_forcing_dof),
+                        abs=1e-12,
                     )
 
     def test_deactivation_noop_for_k5_family(self):
@@ -245,11 +251,9 @@ class TestExactExpectedDof:
         )
 
     def test_limits_enforced(self):
-        a = MessageAssignment(13, tuple(frozenset({i}) for i in range(1, 14)))
-        with pytest.raises(ValueError):
-            exact_expected_dof(13, 0.5, a, "scheduler")
-        a8 = MessageAssignment(8, tuple(frozenset({i}) for i in range(1, 9)))
-        with pytest.raises(ValueError):
-            exact_expected_dof(8, 0.5, a8, "oracle")
-        with pytest.raises(ValueError):
-            exact_expected_dof(8, 0.5, a8, "montecarlo")
+        a = build_assignment(5, Fraction(3, 5))
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="erasure probability"):
+                exact_expected_dof(5, p, a)
+        with pytest.raises(ValueError, match="assignment has k=5"):
+            exact_expected_dof(6, 0.5, a)

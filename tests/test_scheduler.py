@@ -19,6 +19,7 @@ from lindof.network import (
     sample_realization,
 )
 from lindof.scheduler import (
+    LINE_START,
     BeamformingPlan,
     Schedule,
     build_transmit_signals,
@@ -104,10 +105,30 @@ class TestBatchedDecisionPass:
             direct = [np.array([r.direct[i] for r in patterns]) for i in range(k)]
             cross = [np.array([r.cross[j] for r in patterns]) for j in range(k - 1)]
             for a in family:
-                counts = decision_pass(direct, cross, a.transmit_sets)
+                counts, _ = decision_pass(direct, cross, a.transmit_sets)
                 assert counts.tolist() == [
                     len(schedule_network(r, a).delivered) for r in patterns
                 ]
+
+
+class TestResumedDecisionPass:
+    def test_user_by_user_equals_one_pass(self):
+        # Resuming from the returned state, one user per call, makes the
+        # same decisions, counts and final state as one uninterrupted scan.
+        for t in range(300):
+            r, a = random_case(t)
+            whole = []
+            count, end = decision_pass(r.direct, r.cross, a.transmit_sets, whole.append)
+            steps = []
+            total, state = 0, LINE_START
+            for i in range(1, r.k + 1):
+                got, state = decision_pass(
+                    r.direct, r.cross, a.transmit_sets[:i], steps.append, state
+                )
+                total += got
+            assert steps == whole
+            assert (total, state) == (count, end)
+            assert count == len(schedule_network(r, a).delivered)
 
 
 class TestScheduleInvariants:

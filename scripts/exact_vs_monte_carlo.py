@@ -48,7 +48,7 @@ def main() -> int:
     parser.add_argument("--k", type=int_at_least(3), default=5)
     parser.add_argument("--f", type=fraction_arg, default="3/5")
     parser.add_argument("--trials", type=int_at_least(1), default=6000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int_at_least(0), default=0)
     args = parser.parse_args()
 
     a = build_assignment(args.k, args.f)

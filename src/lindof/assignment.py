@@ -40,9 +40,6 @@ class MessageAssignment:
             if any(t < 1 or t > self.k for t in ts):
                 raise ValueError(f"message {i}: transmitter indices must lie in 1..{self.k}")
 
-    def transmit_set(self, i: int) -> frozenset[int]:
-        return self.transmit_sets[i - 1]
-
 
 def build_assignment(k: int, f: Fraction | int) -> MessageAssignment:
     """Assignment family parameterized by the helper fraction f.

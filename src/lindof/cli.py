@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import os
 import sys
 from fractions import Fraction
 
@@ -76,10 +78,39 @@ def write_manifest(path: str, entries: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
+def manifest_entries(cfg: SweepConfig, out: str) -> dict:
+    """The command and version, every SweepConfig field (floats as %.6g,
+    the assignments as their labels), then the output path."""
+    entries = {"command": "sweep", "version": __version__}
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, float):
+            value = f"{value:.6g}"
+        elif field.name == "assignments":
+            value = " ".join(spec.label for spec in value)
+        entries[field.name] = value
+    entries["out"] = out
+    return entries
+
+
+def run_sweep(cfg: SweepConfig, out, quiet: bool = False) -> None:
+    """Run a sweep and write its CSV to `out` and its manifest beside it."""
+    out = os.fspath(out)
+    progress = None
+    if not quiet:
+        progress = lambda row: print(
+            f"p={row.p:.6g} {row.label} mean={row.mean:.6g} stderr={row.stderr:.6g}",
+            file=sys.stderr,
+        )
+    rows = sweep(cfg, progress=progress)
+    write_sweep_csv(rows, out)
+    write_manifest(out + ".manifest", manifest_entries(cfg, out))
+    print(f"wrote {len(rows)} rows to {out}")
+
+
 def cmd_sweep(args) -> int:
-    fractions = [parse_fraction(text) for text in args.f]
     cfg = SweepConfig(
-        assignments=tuple(AssignmentSpec(args.k, f) for f in fractions),
+        assignments=tuple(AssignmentSpec(args.k, parse_fraction(text)) for text in args.f),
         p_start=args.p_start,
         p_end=args.p_end,
         p_step=args.p_step,
@@ -89,34 +120,13 @@ def cmd_sweep(args) -> int:
         share_realizations=args.share_realizations,
         workers=args.workers,
     )
-    progress = None
-    if not args.quiet:
-        progress = lambda row: print(
-            f"p={row.p:.6g} {row.label} mean={row.mean:.6g} stderr={row.stderr:.6g}",
-            file=sys.stderr,
-        )
-    rows = sweep(cfg, progress=progress)
-    write_sweep_csv(rows, args.out)
-    write_manifest(
-        args.out + ".manifest",
-        {
-            "command": "sweep",
-            "version": __version__,
-            "k": args.k,
-            "f": " ".join(str(f) for f in fractions),
-            "p_start": f"{args.p_start:.6g}",
-            "p_end": f"{args.p_end:.6g}",
-            "p_step": f"{args.p_step:.6g}",
-            "trials": args.trials,
-            "seed": args.seed,
-            "deactivate_last": args.deactivate_last,
-            "share_realizations": args.share_realizations,
-            "workers": args.workers,
-            "out": args.out,
-        },
-    )
-    print(f"wrote {len(rows)} rows to {args.out}")
+    run_sweep(cfg, args.out, args.quiet)
     return EXIT_OK
+
+
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _verify_family(k: int, n_random: int, seed: int) -> list:
@@ -136,12 +146,9 @@ def _report_mismatch(r, a, greedy: int, best: int) -> str:
 def cmd_verify(args) -> int:
     if not 3 <= args.k_max <= ORACLE_K_LIMIT:
         raise ValueError(f"--k-max must lie in 3..{ORACLE_K_LIMIT}, got {args.k_max}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.random_assignments < 0:
-        raise ValueError(
-            f"--random-assignments must be at least 0, got {args.random_assignments}"
-        )
+    _check_at_least("--trials", args.trials, 1)
+    _check_at_least("--random-assignments", args.random_assignments, 0)
+    _check_at_least("--seed", args.seed, 0)
     checked = 0
     mismatches = []
     if args.mode == "exhaustive":
@@ -175,6 +182,8 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     f = parse_fraction(args.f)
+    _check_at_least("--seed", args.seed, 0)
+    _check_at_least("--coeff-seed", args.coeff_seed, 0)
     if args.realization is not None:
         r = parse_realization(args.realization)
         if args.k is not None and args.k != r.k:
@@ -305,6 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_code(func, *args) -> int:
+    """Call func(*args) and return its exit code. A ValueError gives 1, a
+    RuntimeError (a schedule that needs erased links) 2 and an OSError 3,
+    each after one `error:` line on stderr."""
+    try:
+        return func(*args)
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ValueError):
+            return EXIT_USAGE
+        return EXIT_MISMATCH if isinstance(exc, RuntimeError) else EXIT_IO
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -312,17 +334,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:  # a schedule that needs erased links
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -55,6 +55,11 @@ class AssignmentSpec:
         return build_assignment(self.k, self.f)
 
 
+# p_grid rounds its points to P_DECIMALS places, so a smaller p step
+# would repeat them.
+P_DECIMALS = 10
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: an erasure-probability grid crossed with assignments.
@@ -80,10 +85,12 @@ class SweepConfig:
             raise ValueError(
                 f"p grid must lie in [0, 1] with start <= end, got [{self.p_start}, {self.p_end}]"
             )
-        if self.p_step <= 0:
-            raise ValueError(f"p step must be positive, got {self.p_step}")
+        if not (math.isfinite(self.p_step) and self.p_step >= 10.0**-P_DECIMALS):
+            raise ValueError(f"p step must be finite and at least 1e-{P_DECIMALS}, got {self.p_step}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be at least 0, got {self.master_seed}")
         if not self.assignments:
             raise ValueError("at least one assignment is required")
         if self.workers < 1:
@@ -91,7 +98,7 @@ class SweepConfig:
 
     def p_grid(self) -> tuple[float, ...]:
         n = int(math.floor((self.p_end - self.p_start) / self.p_step + 1e-9))
-        return tuple(round(self.p_start + i * self.p_step, 10) for i in range(n + 1))
+        return tuple(round(self.p_start + i * self.p_step, P_DECIMALS) for i in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -150,10 +157,12 @@ def estimate_pudof(
         raise ValueError(f"need at least one trial, got {trials}")
     if k != assignment.k:
         raise ValueError(f"assignment has k={assignment.k}, expected {k}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if deactivate_last:
         assignment = remove_transmitter(assignment, k)
     blocks = _blocks(trials, workers)
-    if workers <= 1 or len(blocks) == 1:
+    if workers == 1 or len(blocks) == 1:
         sums = [_dof_sums(k, p, assignment, master_seed, t0, t1) for t0, t1 in blocks]
     else:
         jobs = [(k, p, assignment, master_seed, t0, t1) for t0, t1 in blocks]
@@ -171,7 +180,7 @@ def estimate_pudof(
 
 
 def _blocks(trials: int, workers: int) -> list[tuple[int, int]]:
-    chunk = max(1, math.ceil(trials / max(1, workers * 4)))
+    chunk = math.ceil(trials / (workers * 4))
     return [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
 
 

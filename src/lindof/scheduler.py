@@ -141,20 +141,11 @@ def schedule_cluster(
     """Decision pass for a single cluster, in local indices 1..n.
 
     Cross links inside a cluster are present by definition and are not
-    passed in; `direct[i-1]` is the survival of local direct link i.
+    passed in; `direct[i-1]` is the survival of local direct link i. This
+    is `schedule_network` on the realization with every cross link present.
     """
-    if n < 1:
-        raise ValueError(f"need at least one user, got n={n}")
-    if len(direct) != n:
-        raise ValueError(f"expected {n} direct flags, got {len(direct)}")
-    if len(transmit_sets) != n:
-        raise ValueError(f"expected {n} transmit sets, got {len(transmit_sets)}")
-    for i, ts in enumerate(transmit_sets, start=1):
-        if len(ts) > 2:
-            raise ValueError(f"message {i}: at most two transmitters allowed")
-        if any(t < 1 or t > n for t in ts):
-            raise ValueError(f"message {i}: transmitter indices must lie in 1..{n}")
-    return _schedule(n, tuple(direct), (True,) * (n - 1), transmit_sets)
+    r = NetworkRealization(n, tuple(direct), (True,) * (n - 1))
+    return schedule_network(r, MessageAssignment(n, tuple(transmit_sets)))
 
 
 def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:

@@ -1,5 +1,6 @@
 import pytest
 
+from lindof import __version__
 from lindof.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -66,6 +67,40 @@ class TestSweepCommand:
         code, _, _ = run(capsys, "sweep", "--k", "5")
         assert code == EXIT_USAGE
 
+    def test_manifest_lists_every_config_field(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys,
+            "sweep", "--k", "6", "--f", "1/3", "--f", "0", "--p-step", "0.5",
+            "--trials", "2", "--seed", "5", "--quiet", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+        assert lines == [
+            "command=sweep",
+            f"version={__version__}",
+            "assignments=K=6,f=1/3 K=6,f=0/1",
+            "p_start=0",
+            "p_end=1",
+            "p_step=0.5",
+            "trials=2",
+            "master_seed=5",
+            "deactivate_last=True",
+            "share_realizations=False",
+            "workers=1",
+            f"out={out}",
+        ]
+
+    def test_infinite_p_step_names_p_step(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--k", "5", "--f", "0", "--p-step", "inf", "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert err == "error: p step must be finite and at least 1e-10, got inf\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -73,6 +108,28 @@ class TestSweepCommand:
             "--trials", "1", "--quiet", "--out", str(tmp_path / "nodir" / "x.csv"),
         )
         assert code == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--k", "5", "--f", "0", "--seed", "-1", "--out", "x.csv"),
+         "master seed must be at least 0, got -1"),
+        (("verify", "--seed", "-3"), "--seed must be at least 0, got -3"),
+        (("trace", "--k", "5", "--p", "0.3", "--f", "0", "--seed", "-2"),
+         "--seed must be at least 0, got -2"),
+        (("trace", "--f", "0", "--coeff-seed", "-1", "5;11111;1111"),
+         "--coeff-seed must be at least 0, got -1"),
+    ],
+    ids=["sweep-seed", "verify-seed", "trace-seed", "trace-coeff-seed"],
+)
+def test_negative_seed_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import contextlib
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -48,6 +49,16 @@ class TestEstimate:
         a = build_assignment(5, 0)
         with pytest.raises(ValueError):
             estimate_pudof(5, 0.5, a, 0, 1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        def no_pool(max_workers):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        a = build_assignment(5, 0)
+        with pytest.raises(ValueError, match=f"need at least one worker, got {workers}"):
+            estimate_pudof(5, 0.5, a, 10, 1, workers=workers)
 
     def test_deterministic_and_worker_invariant(self):
         a = build_assignment(8, 0)
@@ -117,6 +128,8 @@ class TestSweep:
         grid = cfg.p_grid()
         assert len(grid) == 101
         assert grid[0] == 0.0 and grid[-1] == 1.0 and grid[5] == 0.05
+        finest = self._cfg(p_start=0.0, p_end=1e-9, p_step=1e-10).p_grid()
+        assert len(set(finest)) == len(finest) == 11
 
     def test_csv_round_trip_identical(self, tmp_path):
         rows = sweep(self._cfg())
@@ -166,6 +179,11 @@ class TestSweep:
             self._cfg(trials=0)
         with pytest.raises(ValueError):
             self._cfg(assignments=())
+        for p_step in (math.inf, math.nan, 1e-11):
+            with pytest.raises(ValueError, match="p step"):
+                self._cfg(p_step=p_step)
+        with pytest.raises(ValueError, match="master seed must be at least 0, got -1"):
+            self._cfg(master_seed=-1)
 
 
 class TestBestAssignmentTable:

@@ -6,11 +6,11 @@ numbers and writes, through the code of `lindof sweep` and `lindof
 table`, `pudof_sweep.csv`, its `.manifest` and the per-p winners in
 `winners.csv`. The defaults mirror the headline experiment (6000 trials
 per point, grid step 0.01); crank --trials up for sharper crossover
-boundaries. A bad value such as `--trials 0` exits 1 with one `error:`
-line and writes nothing; an I/O failure exits 3.
+boundaries. Flags are parsed and checked by `lindof`'s own front end: a
+malformed or out-of-range flag (`--trials abc`, `--trials 0`) exits 1
+with one `error:` line and writes nothing; an I/O failure exits 3.
 """
 
-import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,13 +51,14 @@ def run(args) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.Parser(description=__doc__)
     parser.add_argument("--trials", type=int, default=6000)
     parser.add_argument("--p-step", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--out-dir", default="results")
-    return cli.exit_code(run, parser.parse_args())
+    parser.set_defaults(func=run)
+    return cli.exit_code(parser)
 
 
 if __name__ == "__main__":

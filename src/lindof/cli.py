@@ -1,7 +1,9 @@
 """Command-line front end: sweeps, oracle verification, traces, tables.
 
-Exit codes: 0 success, 1 usage or parameter error, 2 scheduler/oracle
-mismatch or a schedule that needs erased links, 3 I/O failure.
+Exit codes, shared by scripts/reproduce_results.py and
+scripts/exact_vs_monte_carlo.py: 0 success, 1 a malformed or out-of-range
+flag or parameter, 2 scheduler/oracle mismatch or a schedule that needs
+erased links, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -48,13 +50,12 @@ EXIT_MISMATCH = 2
 EXIT_IO = 3
 
 
-class _UsageError(Exception):
-    pass
+class Parser(argparse.ArgumentParser):
+    """The parser of every entry point: a malformed flag raises a
+    ValueError, so `exit_code` reports it like an out-of-range one."""
 
-
-class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -124,7 +125,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_at_least(flag: str, value: int, low: int) -> None:
+def check_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
 
@@ -136,43 +137,40 @@ def _verify_family(k: int, n_random: int, seed: int) -> list:
     return family
 
 
-def _report_mismatch(r, a, greedy: int, best: int) -> str:
-    return (
-        f"mismatch: realization {realization_to_string(r)} greedy={greedy} oracle={best}\n"
-        + format_assignment(a)
-    )
-
-
-def cmd_verify(args) -> int:
-    if not 3 <= args.k_max <= ORACLE_K_LIMIT:
-        raise ValueError(f"--k-max must lie in 3..{ORACLE_K_LIMIT}, got {args.k_max}")
-    _check_at_least("--trials", args.trials, 1)
-    _check_at_least("--random-assignments", args.random_assignments, 0)
-    _check_at_least("--seed", args.seed, 0)
-    checked = 0
-    mismatches = []
+def _verify_instances(args):
+    """Yield the (realization, assignment) pairs that `verify` checks."""
     if args.mode == "exhaustive":
         for k in range(3, args.k_max + 1):
             family = _verify_family(k, args.random_assignments, args.seed)
             for r in all_realizations(k):
                 for a in family:
-                    greedy = len(schedule_network(r, a).delivered)
-                    best = optimal_zero_forcing_dof(r, a)
-                    checked += 1
-                    if greedy != best:
-                        mismatches.append(_report_mismatch(r, a, greedy, best))
+                    yield r, a
     else:
         rng = np.random.default_rng(args.seed)
         for t in range(args.trials):
             k = int(rng.integers(3, args.k_max + 1))
             p = float(rng.random())
             r = sample_realization(k, p, derive_seed(args.seed, t))
-            a = random_assignment(k, rng)
-            greedy = len(schedule_network(r, a).delivered)
-            best = optimal_zero_forcing_dof(r, a)
-            checked += 1
-            if greedy != best:
-                mismatches.append(_report_mismatch(r, a, greedy, best))
+            yield r, random_assignment(k, rng)
+
+
+def cmd_verify(args) -> int:
+    if not 3 <= args.k_max <= ORACLE_K_LIMIT:
+        raise ValueError(f"--k-max must lie in 3..{ORACLE_K_LIMIT}, got {args.k_max}")
+    check_at_least("--trials", args.trials, 1)
+    check_at_least("--random-assignments", args.random_assignments, 0)
+    check_at_least("--seed", args.seed, 0)
+    checked = 0
+    mismatches = []
+    for r, a in _verify_instances(args):
+        greedy = len(schedule_network(r, a).delivered)
+        best = optimal_zero_forcing_dof(r, a)
+        checked += 1
+        if greedy != best:
+            mismatches.append(
+                f"mismatch: realization {realization_to_string(r)} greedy={greedy} oracle={best}\n"
+                + format_assignment(a)
+            )
     print(f"checked {checked} instances ({args.mode}, k up to {args.k_max}): "
           f"{len(mismatches)} mismatches")
     for text in mismatches:
@@ -182,8 +180,8 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     f = parse_fraction(args.f)
-    _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--coeff-seed", args.coeff_seed, 0)
+    check_at_least("--seed", args.seed, 0)
+    check_at_least("--coeff-seed", args.coeff_seed, 0)
     if args.realization is not None:
         r = parse_realization(args.realization)
         if args.k is not None and args.k != r.k:
@@ -258,9 +256,9 @@ def cmd_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lindof", description=__doc__)
+    parser = Parser(prog="lindof", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep over an erasure-probability grid")
     p_sweep.add_argument("--k", type=int, required=True, help="network size")
@@ -314,12 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def exit_code(func, *args) -> int:
-    """Call func(*args) and return its exit code. A ValueError gives 1, a
-    RuntimeError (a schedule that needs erased links) 2 and an OSError 3,
-    each after one `error:` line on stderr."""
+def exit_code(parser: argparse.ArgumentParser, argv=None) -> int:
+    """Parse argv and return the exit code of the parsed `func(args)`. A
+    ValueError (a malformed or out-of-range flag) gives 1, a RuntimeError
+    (a schedule that needs erased links) 2 and an OSError 3, each after
+    one `error:` line on stderr."""
     try:
-        return func(*args)
+        args = parser.parse_args(argv)
+        return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ValueError):
@@ -328,13 +328,7 @@ def exit_code(func, *args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return exit_code(args.func, args)
+    return exit_code(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -159,6 +159,8 @@ def estimate_pudof(
         raise ValueError(f"assignment has k={assignment.k}, expected {k}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
+        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     if deactivate_last:
         assignment = remove_transmitter(assignment, k)
     blocks = _blocks(trials, workers)
@@ -252,6 +254,19 @@ def write_sweep_csv(rows, path) -> None:
             )
 
 
+def _check_row_ranges(row: SweepRow) -> None:
+    """Reject a value no sweep writes, naming its CSV field. The
+    comparisons are false for nan, so nan fails each of them."""
+    if not 0.0 <= row.p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {row.p}")
+    if row.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {row.trials}")
+    if not 0.0 <= row.mean <= 1.0:
+        raise ValueError(f"pudof_mean must lie in [0, 1], got {row.mean}")
+    if not 0.0 <= row.stderr < math.inf:
+        raise ValueError(f"pudof_stderr must be finite and non-negative, got {row.stderr}")
+
+
 def read_sweep_csv(path) -> tuple[SweepRow, ...]:
     rows = []
     with open(path, newline="") as fh:
@@ -265,20 +280,20 @@ def read_sweep_csv(path) -> tuple[SweepRow, ...]:
                     f"{path} row {lineno}: expected {len(CSV_HEADER)} fields, got {len(rec)}"
                 )
             try:
-                rows.append(
-                    SweepRow(
-                        p=float(rec[0]),
-                        label=rec[1],
-                        k=int(rec[2]),
-                        f=Fraction(int(rec[3]), int(rec[4])),
-                        trials=int(rec[5]),
-                        seed=int(rec[6]),
-                        mean=float(rec[7]),
-                        stderr=float(rec[8]),
-                    )
+                row = SweepRow(
+                    p=float(rec[0]),
+                    label=rec[1],
+                    k=int(rec[2]),
+                    f=Fraction(int(rec[3]), int(rec[4])),
+                    trials=int(rec[5]),
+                    seed=int(rec[6]),
+                    mean=float(rec[7]),
+                    stderr=float(rec[8]),
                 )
+                _check_row_ranges(row)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path} row {lineno}: {exc}") from None
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return tuple(rows)

@@ -24,8 +24,8 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert lines[1].startswith('0,"K=5,f=3/5",5,3,5,1,')
         assert lines[1].endswith(",0.8,0")
-        manifest = (tmp_path / "sweep.csv.manifest").read_text()
-        assert "command=sweep" in manifest and "seed=0" in manifest
+        manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+        assert "command=sweep" in manifest and "master_seed=0" in manifest
 
     def test_repeat_invocation_identical_bytes(self, tmp_path, capsys):
         args = [
@@ -235,15 +235,33 @@ class TestTableCommand:
         header = out_csv.read_text().splitlines()[0]
         assert header == "p,best,mean,stderr,ties"
 
-    def test_schema_violation_names_row(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("0.1,x,5,1,2,10,1,not-a-number,0", "could not convert string to float"),
+            ("nan,x,5,1,2,10,1,0.5,0", "p must lie in [0, 1], got nan"),
+            ("7,x,5,1,2,10,1,0.5,0", "p must lie in [0, 1], got 7.0"),
+            ("0.1,x,5,1,2,-10,1,0.5,0", "trials must be at least 1, got -10"),
+            ("0.1,x,5,1,2,10,1,5.0,0", "pudof_mean must lie in [0, 1], got 5.0"),
+            ("0.1,x,5,1,2,10,1,nan,0", "pudof_mean must lie in [0, 1], got nan"),
+            ("0.1,x,5,1,2,10,1,0.5,-0.01",
+             "pudof_stderr must be finite and non-negative, got -0.01"),
+            ("0.1,x,5,1,2,10,1,0.5,inf",
+             "pudof_stderr must be finite and non-negative, got inf"),
+        ],
+        ids=["mean-text", "p-nan", "p-7", "trials-neg", "mean-5", "mean-nan",
+             "stderr-neg", "stderr-inf"],
+    )
+    def test_schema_violation_names_row(self, tmp_path, capsys, row, reason):
         bad = tmp_path / "bad.csv"
         bad.write_text(
             "p,assignment,k,f_num,f_den,trials,seed,pudof_mean,pudof_stderr\n"
-            "0.1,x,5,1,2,10,1,not-a-number,0\n"
+            f"{row}\n"
         )
-        code, _, err = run(capsys, "table", "--in", str(bad))
+        code, out, err = run(capsys, "table", "--in", str(bad))
         assert code == EXIT_USAGE
-        assert "row 2" in err
+        assert out == ""
+        assert err.startswith(f"error: {bad} row 2: {reason}")
 
     def test_empty_csv_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

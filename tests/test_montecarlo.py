@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -50,15 +51,27 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_pudof(5, 0.5, a, 0, 1)
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, monkeypatch, workers):
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
         def no_pool(max_workers):
             raise AssertionError("a process pool was built")
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+
+    @pytest.mark.usefixtures("no_pool")
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
         a = build_assignment(5, 0)
         with pytest.raises(ValueError, match=f"need at least one worker, got {workers}"):
             estimate_pudof(5, 0.5, a, 10, 1, workers=workers)
+
+    @pytest.mark.usefixtures("no_pool")
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+    def test_bad_p_rejected_before_pool(self, p):
+        a = build_assignment(5, 0)
+        match = re.escape(f"erasure probability must lie in [0, 1], got {p}")
+        with pytest.raises(ValueError, match=match):
+            estimate_pudof(5, p, a, 10, 1, workers=2)
 
     def test_deterministic_and_worker_invariant(self):
         a = build_assignment(8, 0)

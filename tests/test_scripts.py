@@ -18,26 +18,31 @@ def run_script(name, *args):
     )
 
 
+def assert_usage_error(proc, reason):
+    # one `error:` line, no traceback, nothing on stdout
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: {reason}"]
+    assert proc.stdout == ""
+
+
 def test_exact_vs_monte_carlo_rejects_fraction_with_reason():
     proc = run_script("exact_vs_monte_carlo.py", "--f", "5/3")
-    assert proc.returncode == 2
-    assert "argument --f: fraction 5/3 lies outside [0, 1]" in proc.stderr
-    assert proc.stdout == ""
+    assert_usage_error(proc, "fraction 5/3 lies outside [0, 1]")
 
 
 @pytest.mark.parametrize(
     "args, reason",
     [
-        (("--k", "2"), "argument --k: must be at least 3, got 2"),
-        (("--trials", "0"), "argument --trials: must be at least 1, got 0"),
-        (("--seed", "-1"), "argument --seed: must be at least 0, got -1"),
+        (("--k", "2"), "--k must be at least 3, got 2"),
+        (("--trials", "0"), "--trials must be at least 1, got 0"),
+        (("--seed", "-1"), "--seed must be at least 0, got -1"),
+        (("--trials", "abc"), "argument --trials: invalid int value: 'abc'"),
     ],
+    ids=["k-2", "trials-0", "seed--1", "trials-abc"],
 )
 def test_exact_vs_monte_carlo_rejects_bounds_with_reason(args, reason):
     proc = run_script("exact_vs_monte_carlo.py", *args)
-    assert proc.returncode == 2
-    assert reason in proc.stderr
-    assert proc.stdout == ""
+    assert_usage_error(proc, reason)
 
 
 def test_exact_vs_monte_carlo_beyond_enumeration():
@@ -72,7 +77,9 @@ def test_reproduce_results_writes_sweep_manifest_and_table(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--trials", "0"), ("--p-step", "0"), ("--workers", "0"), ("--seed", "-1")]
+    "flag, value",
+    [("--trials", "0"), ("--p-step", "0"), ("--workers", "0"), ("--seed", "-1"),
+     ("--trials", "abc")],
 )
 def test_reproduce_results_rejects_bad_config(tmp_path, flag, value):
     out_dir = tmp_path / "results"

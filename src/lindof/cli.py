@@ -9,8 +9,6 @@ erased links, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -24,12 +22,14 @@ from .assignment import (
     random_assignment,
 )
 from .montecarlo import (
+    P_DECIMALS,
     AssignmentSpec,
     SweepConfig,
     best_assignment_table,
     open_atomic,
     read_sweep_csv,
     sweep,
+    write_csv,
     write_sweep_csv,
 )
 from .network import (
@@ -80,18 +80,15 @@ def write_manifest(path: str, entries: dict) -> None:
 
 
 def manifest_entries(cfg: SweepConfig, out: str) -> dict:
-    """The command and version, every SweepConfig field (floats as %.6g,
-    the assignments as their labels), then the output path."""
-    entries = {"command": "sweep", "version": __version__}
-    for field in dataclasses.fields(cfg):
-        value = getattr(cfg, field.name)
-        if isinstance(value, float):
-            value = f"{value:.6g}"
-        elif field.name == "assignments":
-            value = " ".join(spec.label for spec in value)
-        entries[field.name] = value
-    entries["out"] = out
-    return entries
+    """The command and version, every SweepConfig field in order (the
+    assignments as their labels), then the output path."""
+    return {
+        "command": "sweep",
+        "version": __version__,
+        **vars(cfg),
+        "assignments": " ".join(spec.label for spec in cfg.assignments),
+        "out": out,
+    }
 
 
 def run_sweep(cfg: SweepConfig, out, quiet: bool = False) -> None:
@@ -100,7 +97,7 @@ def run_sweep(cfg: SweepConfig, out, quiet: bool = False) -> None:
     progress = None
     if not quiet:
         progress = lambda row: print(
-            f"p={row.p:.6g} {row.label} mean={row.mean:.6g} stderr={row.stderr:.6g}",
+            f"p={row.p:.{P_DECIMALS}g} {row.label} mean={row.mean:.6g} stderr={row.stderr:.6g}",
             file=sys.stderr,
         )
     rows = sweep(cfg, progress=progress)
@@ -241,16 +238,13 @@ def cmd_table(args) -> int:
     print(f"{'p':>6}  {'best':<{width}}  {'mean':>10}  ties")
     for row in table:
         ties = ", ".join(row.ties) if row.ties else "-"
-        print(f"{row.p:>6.3g}  {row.best:<{width}}  {row.mean:>10.6g}  {ties}")
+        print(f"{row.p:>6.{P_DECIMALS}g}  {row.best:<{width}}  {row.mean:>10.6g}  {ties}")
     if args.out:
-        with open_atomic(args.out, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "best", "mean", "stderr", "ties"])
-            for row in table:
-                writer.writerow(
-                    [f"{row.p:.6g}", row.best, f"{row.mean:.6g}", f"{row.stderr:.6g}",
-                     ";".join(row.ties)]
-                )
+        write_csv(
+            args.out,
+            ("p", "best", "mean", "stderr", "ties"),
+            ((row.p, row.best, row.mean, row.stderr, ";".join(row.ties)) for row in table),
+        )
         print(f"wrote table to {args.out}")
     return EXIT_OK
 

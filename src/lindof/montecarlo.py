@@ -56,7 +56,7 @@ class AssignmentSpec:
 
 
 # p_grid rounds its points to P_DECIMALS places, so a smaller p step
-# would repeat them.
+# would repeat them, and `.{P_DECIMALS}g` prints each point exactly.
 P_DECIMALS = 10
 
 
@@ -234,24 +234,23 @@ def open_atomic(path, newline=None):
             os.remove(tmp)
 
 
-def write_sweep_csv(rows, path) -> None:
+def write_csv(path, header, records) -> None:
+    """Write `header` and then each record as one CSV row, atomically.
+    `csv.writer` writes a float as its repr, the shortest text that
+    reads back to the same float, so every value round-trips exactly."""
     with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r.p:.6g}",
-                    r.label,
-                    r.k,
-                    r.f.numerator,
-                    r.f.denominator,
-                    r.trials,
-                    r.seed,
-                    f"{r.mean:.6g}",
-                    f"{r.stderr:.6g}",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def write_sweep_csv(rows, path) -> None:
+    """Write sweep rows under CSV_HEADER; `read_sweep_csv` reads them back equal."""
+    records = (
+        (r.p, r.label, r.k, r.f.numerator, r.f.denominator, r.trials, r.seed, r.mean, r.stderr)
+        for r in rows
+    )
+    write_csv(path, CSV_HEADER, records)
 
 
 def _check_row_ranges(row: SweepRow) -> None:
@@ -265,6 +264,14 @@ def _check_row_ranges(row: SweepRow) -> None:
         raise ValueError(f"pudof_mean must lie in [0, 1], got {row.mean}")
     if not 0.0 <= row.stderr < math.inf:
         raise ValueError(f"pudof_stderr must be finite and non-negative, got {row.stderr}")
+    if row.k < 3:
+        raise ValueError(f"k must be at least 3, got {row.k}")
+    if not 0 <= row.f <= 1:
+        raise ValueError(f"f must lie in [0, 1], got {row.f}")
+    if row.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {row.seed}")
+    if row.label != assignment_label(row.k, row.f):
+        raise ValueError(f"assignment must be {assignment_label(row.k, row.f)}, got {row.label}")
 
 
 def read_sweep_csv(path) -> tuple[SweepRow, ...]:
@@ -322,7 +329,7 @@ def best_assignment_table(rows) -> tuple[TableRow, ...]:
     for row in rows:
         per_p = by_label.setdefault(row.label, {})
         if row.p in per_p:
-            raise ValueError(f"duplicate row for p={row.p:g}, assignment {row.label}")
+            raise ValueError(f"duplicate row for p={row.p}, assignment {row.label}")
         per_p[row.p] = row
     grids = {label: frozenset(per_p) for label, per_p in by_label.items()}
     common = next(iter(grids.values()))

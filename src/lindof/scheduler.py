@@ -114,25 +114,6 @@ def decision_pass(
     return delivered, (i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near)
 
 
-def _schedule(k, direct, cross, transmit_sets) -> Schedule:
-    decisions = []
-    decision_pass(direct, cross, transmit_sets, decisions.append)
-    entries = []
-    delivered = []
-    for i, own, prev, helper, cancel in decisions:
-        if own:
-            entries.append((i, i))
-            delivered.append(i)
-            if cancel:
-                entries.append((i - 1, i))
-        elif prev:
-            entries.append((i, i - 1))
-            delivered.append(i)
-            if helper:
-                entries.append((i, i - 2))
-    return Schedule(k, frozenset(entries), frozenset(delivered))
-
-
 def schedule_cluster(
     n: int,
     direct: Sequence[bool],
@@ -158,7 +139,22 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
-    return _schedule(r.k, r.direct, r.cross, a.transmit_sets)
+    decisions = []
+    decision_pass(r.direct, r.cross, a.transmit_sets, decisions.append)
+    entries = []
+    delivered = []
+    for i, own, prev, helper, cancel in decisions:
+        if own:
+            entries.append((i, i))
+            delivered.append(i)
+            if cancel:
+                entries.append((i - 1, i))
+        elif prev:
+            entries.append((i, i - 1))
+            delivered.append(i)
+            if helper:
+                entries.append((i, i - 2))
+    return Schedule(r.k, frozenset(entries), frozenset(delivered))
 
 
 def dof(s: Schedule) -> int:

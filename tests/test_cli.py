@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from lindof import __version__
 from lindof.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from lindof.montecarlo import AssignmentSpec, SweepConfig, read_sweep_csv
 
 
 def run(capsys, *argv):
@@ -22,8 +25,8 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "p,assignment,k,f_num,f_den,trials,seed,pudof_mean,pudof_stderr"
         assert len(lines) == 2
-        assert lines[1].startswith('0,"K=5,f=3/5",5,3,5,1,')
-        assert lines[1].endswith(",0.8,0")
+        assert lines[1].startswith('0.0,"K=5,f=3/5",5,3,5,1,')
+        assert lines[1].endswith(",0.8,0.0")
         manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
         assert "command=sweep" in manifest and "master_seed=0" in manifest
 
@@ -80,8 +83,8 @@ class TestSweepCommand:
             "command=sweep",
             f"version={__version__}",
             "assignments=K=6,f=1/3 K=6,f=0/1",
-            "p_start=0",
-            "p_end=1",
+            "p_start=0.0",
+            "p_end=1.0",
             "p_step=0.5",
             "trials=2",
             "master_seed=5",
@@ -100,6 +103,30 @@ class TestSweepCommand:
         assert err == "error: p step must be finite and at least 1e-10, got inf\n"
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_fine_step_sweep_keeps_distinct_points(self, tmp_path, capsys):
+        out = tmp_path / "fine.csv"
+        code, _, _ = run(
+            capsys,
+            "sweep", "--k", "5", "--f", "3/5", "--p-start", "0.1", "--p-end", "0.1000005",
+            "--p-step", "1e-7", "--trials", "5", "--quiet", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        code, stdout, _ = run(capsys, "table", "--in", str(out))
+        assert code == EXIT_OK
+        points = [line.split()[0] for line in stdout.splitlines()[1:]]
+        assert len(set(points)) == len(points) == 6
+        manifest = dict(
+            line.split("=", 1)
+            for line in (tmp_path / "fine.csv.manifest").read_text().splitlines()
+        )
+        replay = SweepConfig(
+            assignments=(AssignmentSpec(5, Fraction(3, 5)),),
+            p_start=float(manifest["p_start"]),
+            p_end=float(manifest["p_end"]),
+            p_step=float(manifest["p_step"]),
+        )
+        assert replay.p_grid() == tuple(row.p for row in read_sweep_csv(out))
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(
@@ -248,9 +275,13 @@ class TestTableCommand:
              "pudof_stderr must be finite and non-negative, got -0.01"),
             ("0.1,x,5,1,2,10,1,0.5,inf",
              "pudof_stderr must be finite and non-negative, got inf"),
+            ('0.1,"K=-5,f=1/2",-5,1,2,10,1,0.5,0', "k must be at least 3, got -5"),
+            ('0.1,"K=5,f=7/2",5,7,2,10,1,0.5,0', "f must lie in [0, 1], got 7/2"),
+            ('0.1,"K=5,f=1/2",5,1,2,10,-1,0.5,0', "seed must be at least 0, got -1"),
+            ("0.1,x,5,1,2,10,1,0.5,0", "assignment must be K=5,f=1/2, got x"),
         ],
         ids=["mean-text", "p-nan", "p-7", "trials-neg", "mean-5", "mean-nan",
-             "stderr-neg", "stderr-inf"],
+             "stderr-neg", "stderr-inf", "k-neg", "f-7/2", "seed-neg", "label-mismatch"],
     )
     def test_schema_violation_names_row(self, tmp_path, capsys, row, reason):
         bad = tmp_path / "bad.csv"

@@ -145,13 +145,21 @@ class TestSweep:
         assert len(set(finest)) == len(finest) == 11
 
     def test_csv_round_trip_identical(self, tmp_path):
-        rows = sweep(self._cfg())
-        path = tmp_path / "out.csv"
-        write_sweep_csv(rows, path)
-        first = path.read_bytes()
-        assert read_sweep_csv(path) == rows
-        write_sweep_csv(sweep(self._cfg()), path)
-        assert path.read_bytes() == first
+        ordinary = dict(
+            assignments=(AssignmentSpec(5, Fraction(3, 5)), AssignmentSpec(5, Fraction(0))),
+            p_step=0.1,
+            trials=50,
+            master_seed=4,
+        )
+        for kw in ({}, ordinary):
+            rows = sweep(self._cfg(**kw))
+            path = tmp_path / "out.csv"
+            write_sweep_csv(rows, path)
+            first = path.read_bytes()
+            assert read_sweep_csv(path) == rows
+            assert best_assignment_table(read_sweep_csv(path)) == best_assignment_table(rows)
+            write_sweep_csv(sweep(self._cfg(**kw)), path)
+            assert path.read_bytes() == first
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         class Unprintable:

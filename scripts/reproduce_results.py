@@ -46,7 +46,7 @@ def run(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "pudof_sweep.csv"
-    cli.run_sweep(cfg, csv_path)
+    cli.run_sweep(cfg, csv_path, command="reproduce_results")
     return cli.main(["table", "--in", str(csv_path), "--out", str(out_dir / "winners.csv")])
 
 

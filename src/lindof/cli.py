@@ -79,11 +79,12 @@ def write_manifest(path: str, entries: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def manifest_entries(cfg: SweepConfig, out: str) -> dict:
+def manifest_entries(cfg: SweepConfig, out: str, command: str = "sweep") -> dict:
     """The command and version, every SweepConfig field in order (the
-    assignments as their labels), then the output path."""
+    assignments as their labels), then the output path. `command` names
+    what replays the sweep: `sweep` for `lindof sweep`, or a script."""
     return {
-        "command": "sweep",
+        "command": command,
         "version": __version__,
         **vars(cfg),
         "assignments": " ".join(spec.label for spec in cfg.assignments),
@@ -91,8 +92,9 @@ def manifest_entries(cfg: SweepConfig, out: str) -> dict:
     }
 
 
-def run_sweep(cfg: SweepConfig, out, quiet: bool = False) -> None:
-    """Run a sweep and write its CSV to `out` and its manifest beside it."""
+def run_sweep(cfg: SweepConfig, out, quiet: bool = False, command: str = "sweep") -> None:
+    """Run a sweep and write its CSV to `out` and its manifest beside it,
+    naming `command` as the one that replays it."""
     out = os.fspath(out)
     progress = None
     if not quiet:
@@ -102,7 +104,7 @@ def run_sweep(cfg: SweepConfig, out, quiet: bool = False) -> None:
         )
     rows = sweep(cfg, progress=progress)
     write_sweep_csv(rows, out)
-    write_manifest(out + ".manifest", manifest_entries(cfg, out))
+    write_manifest(out + ".manifest", manifest_entries(cfg, out, command))
     print(f"wrote {len(rows)} rows to {out}")
 
 
@@ -234,11 +236,13 @@ def cmd_table(args) -> int:
     for path in args.inputs:
         rows.extend(read_sweep_csv(path))
     table = best_assignment_table(rows)
+    points = [f"{row.p:.{P_DECIMALS}g}" for row in table]
+    p_width = max([6, *map(len, points)])
     width = max(len(row.best) for row in table)
-    print(f"{'p':>6}  {'best':<{width}}  {'mean':>10}  ties")
-    for row in table:
+    print(f"{'p':>{p_width}}  {'best':<{width}}  {'mean':>10}  ties")
+    for point, row in zip(points, table):
         ties = ", ".join(row.ties) if row.ties else "-"
-        print(f"{row.p:>6.{P_DECIMALS}g}  {row.best:<{width}}  {row.mean:>10.6g}  {ties}")
+        print(f"{point:>{p_width}}  {row.best:<{width}}  {row.mean:>10.6g}  {ties}")
     if args.out:
         write_csv(
             args.out,

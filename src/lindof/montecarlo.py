@@ -58,6 +58,8 @@ class AssignmentSpec:
 # p_grid rounds its points to P_DECIMALS places, so a smaller p step
 # would repeat them, and `.{P_DECIMALS}g` prints each point exactly.
 P_DECIMALS = 10
+# Largest p grid a sweep accepts: a step of 1e-6 over [0, 1].
+MAX_P_POINTS = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,10 @@ class SweepConfig:
             )
         if not (math.isfinite(self.p_step) and self.p_step >= 10.0**-P_DECIMALS):
             raise ValueError(f"p step must be finite and at least 1e-{P_DECIMALS}, got {self.p_step}")
+        if self.p_count() > MAX_P_POINTS:
+            raise ValueError(
+                f"p grid has {self.p_count()} points, more than the {MAX_P_POINTS} a sweep accepts"
+            )
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.master_seed < 0:
@@ -96,9 +102,14 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
 
+    def p_count(self) -> int:
+        """Number of points in `p_grid`, computed without building it."""
+        return int(math.floor((self.p_end - self.p_start) / self.p_step + 1e-9)) + 1
+
     def p_grid(self) -> tuple[float, ...]:
-        n = int(math.floor((self.p_end - self.p_start) / self.p_step + 1e-9))
-        return tuple(round(self.p_start + i * self.p_step, P_DECIMALS) for i in range(n + 1))
+        return tuple(
+            round(self.p_start + i * self.p_step, P_DECIMALS) for i in range(self.p_count())
+        )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ links carry generic complex gains.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,23 +128,34 @@ def all_realizations(k: int) -> Iterator[NetworkRealization]:
 def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> NetworkRealization:
     """Give every surviving link an independent complex-normal gain.
 
-    Draws are redone while the magnitude is below MIN_GAIN_MAGNITUDE, so
+    A draw is redone while its magnitude is below MIN_GAIN_MAGNITUDE, so
     cancellation ratios formed from these gains stay well conditioned.
-    Erased links get exactly zero.
+    Erased links get exactly zero. One block of 2n normals is drawn for
+    the n surviving links and read pair by pair in link order (direct
+    links, then cross links), skipping rejected pairs; two more are drawn
+    each time the block runs out. Generator's normal stream is the same
+    however it is split into calls, so this gives exactly the gains of
+    one two-normal draw per attempt.
     """
     rng = np.random.default_rng(trial_seed)
     scale = 1.0 / np.sqrt(2.0)
-
-    def draw() -> complex:
-        while True:
-            re, im = rng.normal(size=2) * scale
-            gain = complex(re, im)
+    links = r.direct + r.cross
+    normals = (rng.normal(size=2 * sum(links)) * scale).tolist()
+    at = 0
+    gains = []
+    for present in links:
+        gain = 0j
+        while present:
+            if at == len(normals):
+                normals += (rng.normal(size=2) * scale).tolist()
+            gain = complex(normals[at], normals[at + 1])
+            at += 2
             if abs(gain) >= MIN_GAIN_MAGNITUDE:
-                return gain
-
-    direct_gain = tuple(draw() if present else 0j for present in r.direct)
-    cross_gain = tuple(draw() if present else 0j for present in r.cross)
-    return replace(r, direct_gain=direct_gain, cross_gain=cross_gain)
+                break
+        gains.append(gain)
+    return NetworkRealization(
+        r.k, r.direct, r.cross, tuple(gains[: r.k]), tuple(gains[r.k :])
+    )
 
 
 @dataclass(frozen=True)

@@ -91,34 +91,38 @@ def feasible(cfg: CarrierConfig, r: NetworkRealization) -> bool:
     return True
 
 
+def _reach_masks(r: NetworkRealization) -> list[int]:
+    """Per transmitter t, the receivers it still touches as a bitmask.
+
+    ``reach[t]`` has bit t-1 set iff direct link t survived and bit t set
+    iff cross link t survived (receiver bits are 1 << (receiver - 1));
+    ``reach[0]`` is unused.
+    """
+    reach = [0] + [present << t for t, present in enumerate(r.direct)]
+    for t, present in enumerate(r.cross, start=1):
+        if present:
+            reach[t] |= 1 << t
+    return reach
+
+
 def _carrier_options(
-    r: NetworkRealization, a: MessageAssignment, m: int
+    reach: list[int], a: MessageAssignment, m: int
 ) -> list[tuple[int, int]]:
     """(reach, both-reach) bitmasks for every workable carrier choice of m.
 
     A choice is a non-empty subset of the transmit set containing at
-    least one carrier with a surviving link into receiver m. Receiver
-    bits are 1 << (receiver - 1).
+    least one carrier with a surviving link into receiver m, read from
+    the realization's reach masks: carrier t serves m iff
+    ``reach[t] & 1 << (m - 1)``, and a pair's option is
+    ``(r1 | r2, r1 & r2)``.
     """
+    bit = 1 << (m - 1)
     ts = sorted(a.transmit_sets[m - 1])
-    subsets = [(t,) for t in ts]
+    options = [(reach[t], 0) for t in ts if reach[t] & bit]
     if len(ts) == 2:
-        subsets.append(tuple(ts))
-    options = []
-    for subset in subsets:
-        if not any(t in (m - 1, m) and _link_present(r, t, m) for t in subset):
-            continue
-        masks = []
-        for t in subset:
-            mask = 0
-            for receiver in _reach(r, t):
-                mask |= 1 << (receiver - 1)
-            masks.append(mask)
-        reach = 0
-        for mask in masks:
-            reach |= mask
-        both = masks[0] & masks[1] if len(masks) == 2 else 0
-        options.append((reach, both))
+        r1, r2 = reach[ts[0]], reach[ts[1]]
+        if (r1 | r2) & bit:
+            options.append((r1 | r2, r1 & r2))
     return options
 
 
@@ -127,18 +131,22 @@ def optimal_zero_forcing_dof(r: NetworkRealization, a: MessageAssignment) -> int
 
     The feasibility predicate couples each message's carriers only with
     the delivered set, never with other messages' carriers, so a set D
-    works iff every member has some workable choice against D. Candidate
-    sets are scanned by decreasing size with that per-message test; the
-    first hit is the optimum.
+    works iff every member has some workable choice against D. The
+    realization is read once, into one reach mask per transmitter, and
+    every message's options come from those masks. Candidate sets are
+    scanned by decreasing size with that per-message test; the first hit
+    is the optimum. `feasible` is the same rule stated literally, kept as
+    the independent predicate the tests check this against.
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
     if r.k > ORACLE_K_LIMIT:
         raise ValueError(f"exhaustive search limited to k <= {ORACLE_K_LIMIT}, got k={r.k}")
+    reach = _reach_masks(r)
     deliverable = []
     options = []
     for m in range(1, r.k + 1):
-        opts = _carrier_options(r, a, m)
+        opts = _carrier_options(reach, a, m)
         if opts:
             deliverable.append(m)
             options.append(opts)

@@ -116,6 +116,15 @@ class TestSweepCommand:
         assert code == EXIT_OK
         points = [line.split()[0] for line in stdout.splitlines()[1:]]
         assert len(set(points)) == len(points) == 6
+        # the p column widens to its longest p, so every field stays under its header
+        header, *lines = stdout.splitlines()
+        for line in lines:
+            p, best, mean, ties = line.split()
+            assert line.index(p) + len(p) == header.index("p") + 1
+            assert line.index(best) == header.index("best")
+            assert line.index(mean, line.index(best) + len(best)) + len(mean) == header.index("mean") + 4
+            assert line.rindex(ties) == header.index("ties")
+        assert max(map(len, points)) == len("0.1000005")
         manifest = dict(
             line.split("=", 1)
             for line in (tmp_path / "fine.csv.manifest").read_text().splitlines()

@@ -205,6 +205,10 @@ class TestSweep:
                 self._cfg(p_step=p_step)
         with pytest.raises(ValueError, match="master seed must be at least 0, got -1"):
             self._cfg(master_seed=-1)
+        # rejected from the count alone, before any of its points is built
+        with pytest.raises(ValueError, match="p grid has 10000000001 points"):
+            self._cfg(p_step=1e-10)
+        assert self._cfg(p_step=1e-6).p_count() == 1_000_001
 
 
 class TestBestAssignmentTable:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lindof import network
 from lindof.network import (
     MIN_GAIN_MAGNITUDE,
     Cluster,
@@ -27,6 +28,28 @@ def realizations(max_k=12):
             st.tuples(*[st.booleans()] * (k - 1)),
         )
     ).map(lambda t: NetworkRealization(*t))
+
+
+def per_pair_gains(r, trial_seed):
+    """Reference gains: one two-normal draw per attempt, link by link,
+    redone while below the floor. Returns the direct gains, the cross
+    gains and the number of rejected draws."""
+    rng = np.random.default_rng(trial_seed)
+    scale = 1.0 / np.sqrt(2.0)
+    rejected = 0
+
+    def draw() -> complex:
+        nonlocal rejected
+        while True:
+            re, im = rng.normal(size=2) * scale
+            gain = complex(re, im)
+            if abs(gain) >= network.MIN_GAIN_MAGNITUDE:
+                return gain
+            rejected += 1
+
+    direct = tuple(draw() if present else 0j for present in r.direct)
+    cross = tuple(draw() if present else 0j for present in r.cross)
+    return direct, cross, rejected
 
 
 class TestSampling:
@@ -86,6 +109,22 @@ class TestCoefficients:
                     assert abs(gain) >= MIN_GAIN_MAGNITUDE
                 else:
                     assert gain == 0
+
+    @pytest.mark.parametrize("floor", [MIN_GAIN_MAGNITUDE, 0.7])
+    def test_equals_per_pair_reference(self, monkeypatch, floor):
+        monkeypatch.setattr(network, "MIN_GAIN_MAGNITUDE", floor)
+        rejected = 0
+        for k in range(1, 6):
+            for r in all_realizations(k):
+                for seed in (0, 7, derive_seed(5, k)):
+                    g = attach_generic_coefficients(r, seed)
+                    direct, cross, misses = per_pair_gains(r, seed)
+                    assert (g.k, g.direct, g.cross) == (r.k, r.direct, r.cross)
+                    assert g.direct_gain == direct and g.cross_gain == cross
+                    rejected += misses
+        # at 0.7 about two draws in five are redone, so the draw is
+        # topped up on most patterns with several surviving links
+        assert (rejected > 1000) == (floor == 0.7)
 
     def test_gain_consistency_enforced(self):
         with pytest.raises(ValueError):

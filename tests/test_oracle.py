@@ -136,6 +136,17 @@ class TestOptimalDof:
             a = random_assignment(k, rng)
             assert optimal_zero_forcing_dof(r, a) == brute_force_over_configs(r, a)
 
+    def test_matches_literal_config_enumeration_on_every_pattern(self):
+        for k in range(1, 5):
+            rng = np.random.default_rng(derive_seed(71, k))
+            family = [random_assignment(k, rng) for _ in range(4)]
+            if k >= 3:
+                family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
+            family += [remove_transmitter(a, k) for a in family]
+            for r in all_realizations(k):
+                for a in family:
+                    assert optimal_zero_forcing_dof(r, a) == brute_force_over_configs(r, a)
+
     def test_never_below_greedy(self):
         rng = np.random.default_rng(13)
         for t in range(400):

@@ -74,6 +74,8 @@ def test_reproduce_results_writes_sweep_manifest_and_table(tmp_path):
     lines = (out_dir / "pudof_sweep.csv.manifest").read_text().splitlines()
     manifest = dict(line.split("=", 1) for line in lines)
     assert manifest["assignments"].split() == FAMILY_LABELS
+    # the mixed-K family is replayed by this script, not by `lindof sweep`
+    assert lines[0] == "command=reproduce_results"
 
 
 @pytest.mark.parametrize(

@@ -94,19 +94,16 @@ def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
     """Draw one erasure pattern; each link dies independently with probability p.
 
     Pure function of its arguments: the same (k, p, trial_seed) always
-    returns the identical realization.
+    returns the identical realization. One `.tolist()` turns the draw
+    into Python bools, the type `scheduler.decision_pass` reads.
     """
     if k < 1:
         raise ValueError(f"need at least one user, got k={k}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(trial_seed)
-    present = rng.random(2 * k - 1) >= p
-    return NetworkRealization(
-        k,
-        tuple(bool(x) for x in present[:k]),
-        tuple(bool(x) for x in present[k:]),
-    )
+    present = (rng.random(2 * k - 1) >= p).tolist()
+    return NetworkRealization(k, tuple(present[:k]), tuple(present[k:]))
 
 
 def all_realizations(k: int) -> Iterator[NetworkRealization]:

@@ -57,58 +57,52 @@ def decision_pass(
     """The greedy pass as one left-to-right scan; returns (delivered, state).
 
     `direct` holds k link bits, `cross` k-1 (cross link j joins users j
-    and j+1); `transmit_sets[i-1]` is message i's set. A bit is either a
-    Python bool or a numpy bool row with one column per realization: the
-    rule uses only `&`, `|` and `^ True`, so the same code serves one
-    realization or a batch, and the count is then one int per column.
+    and j+1), all Python bools; `transmit_sets[i-1]` is message i's set.
+    The rule is plain `not`, `and` and `or` on those bools, so every
+    decision and every state field is a bool and the count an int.
 
     User i reads the decisions of users i-1 and i-2 only, and only while
     they share its cluster: `near` says user i-1 does (cross link i-1
     survived), `near2` says user i-2 does too. An erased cross link thus
-    resets the scan, which is the cluster split. With `record`, every user
-    i is reported as (i, own, prev, helper, cancel): message i sent from
-    transmitter i, from transmitter i-1, the helper (i, i-2) that goes
-    with the latter, and the cancellation (i-1, i) that goes with the
-    former.
+    resets the scan, which is the cluster split. With `record`, every
+    delivered user i is reported as (i, own, prev, helper, cancel):
+    message i sent from transmitter i, from transmitter i-1, the helper
+    (i, i-2) that goes with the latter, and the cancellation (i-1, i)
+    that goes with the former. Users that get nothing are not reported.
 
     The scan resumes after the last user of `state` (default: the start
     of the line) and runs to the last message of `transmit_sets`; the
     count covers the users it visited, and the state it returns resumes
-    it. User i reads direct link i and cross link i-1 only. On Python
-    bools the state is a hashable tuple, so `oracle.exact_expected_dof`
-    can run the scan one user at a time and merge equal states.
+    it. User i reads direct link i and cross link i-1 only. The state is
+    a hashable tuple, so `oracle.exact_expected_dof` can run the scan one
+    user at a time and merge equal states.
     """
     i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near = state
     delivered = 0
     for i, ts in enumerate(transmit_sets[i:], start=i + 1):
         d0 = direct[i - 1]
-        link = cross[i - 2] if i > 1 else False
-        near2 = near & link
+        link = i > 1 and cross[i - 2]
+        near2 = near and link
         near = link
-        own1_near = own1 & near
+        own1_near = own1 and near
         # Try the preceding transmitter first: its signal can only disturb
         # receiver i-1, and only when that receiver is active through its
         # own direct link; a helper at transmitter i-2 may null that.
-        back = near & (i - 1 in ts) & (own1_near ^ True)
-        plain = (d1 ^ True) | (prev1 ^ True)
-        can_help = near2 & (i - 2 in ts) & ((d2 ^ True) | ((own2 | prev2) ^ True))
-        prev = back & (plain | can_help)
-        helper = back & (plain ^ True) & can_help
+        back = near and i - 1 in ts and not own1_near
+        plain = not (d1 and prev1)
+        can_help = near2 and i - 2 in ts and not (d2 and (own2 or prev2))
+        prev = back and (plain or can_help)
+        helper = prev and not plain
         # Otherwise send from the own transmitter. Receiver i must not
         # already be burdened by an uncancellable emission at transmitter
         # i-1; interference from a self-delivering transmitter i-1 can be
         # nulled from transmitter i when it also knows message i-1.
-        own = (
-            d0
-            & (i in ts)
-            & (prev ^ True)
-            & ((cancel1 & near) ^ True)
-            & ((own1_near ^ True) | (i in ts1))
-        )
-        cancel = own & own1_near
-        if record is not None:
-            record((i, own, prev, helper, cancel))
-        delivered = delivered + (own | prev)
+        own = d0 and i in ts and not prev and not (cancel1 and near) and (not own1_near or i in ts1)
+        cancel = own and own1_near
+        if own or prev:
+            delivered += 1
+            if record is not None:
+                record((i, own, prev, helper, cancel))
         own2, prev2, d2 = own1, prev1, d1
         own1, prev1, cancel1, d1, ts1 = own, prev, cancel, d0, ts
     return delivered, (i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near)
@@ -143,15 +137,14 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     decision_pass(r.direct, r.cross, a.transmit_sets, decisions.append)
     entries = []
     delivered = []
-    for i, own, prev, helper, cancel in decisions:
+    for i, own, _, helper, cancel in decisions:
+        delivered.append(i)
         if own:
             entries.append((i, i))
-            delivered.append(i)
             if cancel:
                 entries.append((i - 1, i))
-        elif prev:
+        else:
             entries.append((i, i - 1))
-            delivered.append(i)
             if helper:
                 entries.append((i, i - 2))
     return Schedule(r.k, frozenset(entries), frozenset(delivered))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from lindof import montecarlo
-from lindof.assignment import MessageAssignment, build_assignment
+from lindof.assignment import MessageAssignment, build_assignment, remove_transmitter
 from lindof.cli import write_manifest
 from lindof.montecarlo import (
     AssignmentSpec,
@@ -18,7 +18,9 @@ from lindof.montecarlo import (
     sweep,
     write_sweep_csv,
 )
+from lindof.network import derive_seed, sample_realization
 from lindof.oracle import exact_expected_dof
+from lindof.scheduler import decision_pass
 
 
 class TestEstimate:
@@ -45,6 +47,23 @@ class TestEstimate:
         exact = exact_expected_dof(100, 0.4, a, deactivate_last=True) / 100
         assert stderr > 0
         assert abs(mean - exact) <= 5 * stderr
+
+    @pytest.mark.parametrize(
+        "k, f", [(100, Fraction(1, 2)), (5, Fraction(3, 5))], ids=["k100", "k5"]
+    )
+    def test_equals_decision_pass_reference(self, k, f):
+        # Trials count schedule_network's delivered sets; the mean and
+        # stderr are exactly those of the bare pass's count on the same
+        # draws, the path that builds no schedule.
+        p, trials, seed = 0.35, 200, 31
+        a = build_assignment(k, f)
+        silenced = remove_transmitter(a, k)
+        draws = [sample_realization(k, p, derive_seed(seed, t)) for t in range(trials)]
+        counts = [decision_pass(r.direct, r.cross, silenced.transmit_sets)[0] for r in draws]
+        total, total_sq = sum(counts), sum(d * d for d in counts)
+        variance = (total_sq - total * total / trials) / (trials - 1)
+        expected = (total / (trials * k), math.sqrt(max(0.0, variance) / trials) / k)
+        assert estimate_pudof(k, p, a, trials, seed, deactivate_last=True) == expected
 
     def test_zero_trials_rejected(self):
         a = build_assignment(5, 0)

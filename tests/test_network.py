@@ -77,6 +77,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_realization(0, 0.5, 0)
 
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
+    def test_links_are_python_bools_of_the_draw(self, k, p):
+        # The decision pass's plain boolean logic reads Python bools: each
+        # link is exactly bool() of its element of the same draw.
+        for t in range(6):
+            trial_seed = derive_seed(5, k, t)
+            draw = np.random.default_rng(trial_seed).random(2 * k - 1) >= p
+            r = sample_realization(k, p, trial_seed)
+            links = r.direct + r.cross
+            assert all(type(x) is bool for x in links)
+            assert links == tuple(bool(x) for x in draw)
+
     def test_absence_frequency_matches_p(self):
         # binomial check at 4 standard errors
         p, k, trials = 0.3, 10, 2000

@@ -91,24 +91,20 @@ class TestScheduleNetwork:
             schedule_network(r, build_assignment(5, 0))
 
 
-class TestBatchedDecisionPass:
-    def test_columns_match_schedule_network(self):
-        # The same rule on bool rows, one column per pattern, counts what
-        # schedule_network delivers on each pattern alone.
+class TestDecisionPassCount:
+    def test_count_matches_schedule_network(self):
+        # The pass's count equals the size of the delivered set that
+        # schedule_network builds from its record, on every pattern.
         for k in range(1, 7):
             rng = np.random.default_rng(derive_seed(62, k))
             family = [random_assignment(k, rng) for _ in range(4)]
             if k >= 3:
                 family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
             family += [remove_transmitter(a, k) for a in family]
-            patterns = list(all_realizations(k))
-            direct = [np.array([r.direct[i] for r in patterns]) for i in range(k)]
-            cross = [np.array([r.cross[j] for r in patterns]) for j in range(k - 1)]
-            for a in family:
-                counts, _ = decision_pass(direct, cross, a.transmit_sets)
-                assert counts.tolist() == [
-                    len(schedule_network(r, a).delivered) for r in patterns
-                ]
+            for r in all_realizations(k):
+                for a in family:
+                    count, _ = decision_pass(r.direct, r.cross, a.transmit_sets)
+                    assert count == len(schedule_network(r, a).delivered)
 
 
 class TestResumedDecisionPass:

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--share-realizations", action=argparse.BooleanOptionalAction, default=False,
-        help="reuse trial seeds across assignments at each grid point",
+        help="draw each point's trials once per network size and count every assignment on them",
     )
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--quiet", action="store_true")

@@ -5,6 +5,11 @@ trial index), schedules it, and records the delivered count. Sums are
 kept as exact integers, so results are bit-identical no matter how the
 trial range is split across workers, and probability-zero/one endpoints
 come out exact.
+
+A sweep with shared realizations draws each grid point's trials once per
+network size and counts every assignment of that size on them. The draw
+is held packed, one byte per link, (2K-1) bytes per trial, until the
+point is done.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .assignment import (
     MessageAssignment,
     assignment_label,
     build_assignment,
     remove_transmitter,
 )
-from .network import derive_seed, sample_realization
+from .network import NetworkRealization, derive_seed, sample_realization
 from .scheduler import schedule_network
 
 CSV_HEADER = (
@@ -69,7 +76,9 @@ class SweepConfig:
     Each AssignmentSpec carries its own size, so one sweep can mix sizes.
     With `share_realizations` all assignments at a grid point reuse the
     same trial seeds (common random numbers), sharpening comparisons
-    between them.
+    between them. The trials are then drawn once per point and network
+    size and held packed at (2K-1) bytes per trial while every
+    assignment of that size counts them.
     """
 
     assignments: tuple[AssignmentSpec, ...]
@@ -124,27 +133,50 @@ class SweepRow:
     stderr: float
 
 
-def _dof_sums(
-    k: int,
-    p: float,
-    assignment: MessageAssignment,
-    master_seed: int,
-    t_first: int,
-    t_last: int,
-) -> tuple[int, int]:
-    """Sum and sum-of-squares of delivered counts over a trial range."""
+def _dof_sums(realizations, assignment: MessageAssignment) -> tuple[int, int]:
+    """Sum and sum-of-squares of delivered counts over some realizations."""
     total = 0
     total_sq = 0
-    for t in range(t_first, t_last):
-        r = sample_realization(k, p, derive_seed(master_seed, t))
+    for r in realizations:
         d = len(schedule_network(r, assignment).delivered)
         total += d
         total_sq += d * d
     return total, total_sq
 
 
-def _dof_sums_star(args) -> tuple[int, int]:
-    return _dof_sums(*args)
+def _packing(realizations, packed: bytearray):
+    """Pass realizations through, appending each one's links to `packed`:
+    one byte per link, direct links then cross links."""
+    for r in realizations:
+        packed.extend(r.direct)
+        packed.extend(r.cross)
+        yield r
+
+
+def _unpacked(k: int, packed):
+    """The realizations `_packing` wrote into `packed`, in order."""
+    for row in np.frombuffer(packed, dtype=bool).reshape(-1, 2 * k - 1):
+        links = row.tolist()
+        yield NetworkRealization(k, tuple(links[:k]), tuple(links[k:]))
+
+
+def _block_sums(k, p, assignment, master_seed, t_first, t_last, packed):
+    """Delivered-count sums over trials t_first..t_last-1, and the packed
+    draw. With `packed` None the trials are drawn and counted; an empty
+    bytearray is also filled with the drawn links; a filled one is
+    counted without drawing again, and None is returned in its place."""
+    if packed:
+        return _dof_sums(_unpacked(k, packed), assignment), None
+    realizations = (
+        sample_realization(k, p, derive_seed(master_seed, t)) for t in range(t_first, t_last)
+    )
+    if packed is not None:
+        realizations = _packing(realizations, packed)
+    return _dof_sums(realizations, assignment), packed
+
+
+def _block_sums_star(args):
+    return _block_sums(*args)
 
 
 def estimate_pudof(
@@ -155,6 +187,8 @@ def estimate_pudof(
     master_seed: int,
     deactivate_last: bool = True,
     workers: int = 1,
+    *,
+    draw: bytearray | None = None,
 ) -> tuple[float, float]:
     """Sample mean and standard error of the delivered fraction.
 
@@ -162,7 +196,16 @@ def estimate_pudof(
     `deactivate_last` silences the last transmitter (dropped from every
     transmit set) so the measured value survives concatenating copies of
     the network. Integer accumulation makes the result independent of
-    `workers`; the process pool never grows past os.cpu_count().
+    `workers`; the process pool never grows past os.cpu_count(), and the
+    trials are split into blocks for the pool that runs.
+
+    `draw`, which `sweep` passes under shared realizations, carries the
+    trials of one grid point at one network size from call to call,
+    packed one byte per link, (2k-1) bytes per trial. An empty bytearray
+    is filled with the trials this call draws; a filled one must hold
+    the trials of this (k, p, trials, master_seed), and they are counted
+    without drawing them again. Either way the result is the one drawn
+    trials give.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -172,17 +215,30 @@ def estimate_pudof(
         raise ValueError(f"need at least one worker, got {workers}")
     if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
+    width = 2 * k - 1
+    if draw and len(draw) != trials * width:
+        raise ValueError(f"draw holds {len(draw)} bytes, expected {trials * width}")
     if deactivate_last:
         assignment = remove_transmitter(assignment, k)
-    blocks = _blocks(trials, workers)
-    if workers == 1 or len(blocks) == 1:
-        sums = [_dof_sums(k, p, assignment, master_seed, t0, t1) for t0, t1 in blocks]
+    pool_size = min(workers, os.cpu_count() or 1)
+    blocks = _blocks(trials, pool_size)
+    if draw is None:
+        parts = [None] * len(blocks)
+    elif draw:
+        parts = [draw[t0 * width : t1 * width] for t0, t1 in blocks]
     else:
-        jobs = [(k, p, assignment, master_seed, t0, t1) for t0, t1 in blocks]
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            sums = list(pool.map(_dof_sums_star, jobs))
-    total = sum(s for s, _ in sums)
-    total_sq = sum(q for _, q in sums)
+        parts = [bytearray() for _ in blocks]
+    jobs = [(k, p, assignment, master_seed, t0, t1, part) for (t0, t1), part in zip(blocks, parts)]
+    if pool_size == 1 or len(jobs) == 1:
+        results = [_block_sums(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            results = list(pool.map(_block_sums_star, jobs))
+    if draw is not None and not draw:
+        for _, packed in results:
+            draw.extend(packed)
+    total = sum(s for (s, _), _ in results)
+    total_sq = sum(q for (_, q), _ in results)
     mean = total / (trials * k)
     if trials > 1:
         dof_var = (total_sq - total * total / trials) / (trials - 1)
@@ -205,15 +261,21 @@ def sweep(
 
     Point seeds derive from (master seed, grid index, assignment index),
     or from (master seed, grid index) alone under shared realizations.
+    Then the first assignment of each network size at a point draws its
+    trials, and the others of that size count the same trials from its
+    packed draw, which is dropped before the next point.
     """
     specs = [(spec, spec.build()) for spec in cfg.assignments]
     rows = []
     for pi, p in enumerate(cfg.p_grid()):
+        draws: dict[int, bytearray] = {}
         for ai, (spec, assignment) in enumerate(specs):
             if cfg.share_realizations:
                 seed = derive_seed(cfg.master_seed, pi)
+                draw = draws.setdefault(spec.k, bytearray())
             else:
                 seed = derive_seed(cfg.master_seed, pi, ai)
+                draw = None
             mean, stderr = estimate_pudof(
                 spec.k,
                 p,
@@ -222,6 +284,7 @@ def sweep(
                 seed,
                 deactivate_last=cfg.deactivate_last,
                 workers=cfg.workers,
+                draw=draw,
             )
             row = SweepRow(p, spec.label, spec.k, spec.f, cfg.trials, seed, mean, stderr)
             rows.append(row)

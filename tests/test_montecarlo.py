@@ -70,6 +70,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_pudof(5, 0.5, a, 0, 1)
 
+    def test_draw_of_another_size_rejected(self):
+        a = build_assignment(5, 0)
+        with pytest.raises(ValueError, match="draw holds 9 bytes, expected 90"):
+            estimate_pudof(5, 0.5, a, 10, 1, draw=bytearray(9))
+
     @pytest.fixture
     def no_pool(self, monkeypatch):
         def no_pool(max_workers):
@@ -100,12 +105,19 @@ class TestEstimate:
         assert one == again == two
 
     def test_pool_never_exceeds_cpu_count(self, monkeypatch):
-        # the fake pool records its size and maps serially: no process starts
+        # the fake pool records its size and the trial range of every job
+        # it maps, and maps serially: no process starts
         sizes = []
+        ranges = []
+
+        def serial_map(fn, jobs):
+            jobs = list(jobs)
+            ranges.append([(job[4], job[5]) for job in jobs])
+            return map(fn, jobs)
 
         def serial_pool(max_workers):
             sizes.append(max_workers)
-            return contextlib.nullcontext(SimpleNamespace(map=map))
+            return contextlib.nullcontext(SimpleNamespace(map=serial_map))
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", serial_pool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
@@ -113,6 +125,10 @@ class TestEstimate:
         clamped = estimate_pudof(8, 0.4, a, 50, 9, workers=100_000)
         assert sizes == [3]
         assert clamped == estimate_pudof(8, 0.4, a, 50, 9, workers=1)
+        # blocks are sized for the 3 workers that run, not the 100,000 asked for
+        assert estimate_pudof(8, 0.4, a, 50, 9, workers=3) == clamped
+        assert sizes == [3, 3]
+        assert len(ranges[0]) == 10 and ranges[0] == ranges[1]
 
     def test_estimator_unbiased_across_reruns(self):
         # deterministic given the seeds; 4-sigma misses are ~1e-4 likely
@@ -199,16 +215,48 @@ class TestSweep:
             write_manifest(str(path) + ".manifest", {"seed": 2, "bad": Unprintable()})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    # two K=8 members share one draw; K=5 and K=7 draw their own
+    MIXED_SIZES = (
+        AssignmentSpec(8, Fraction(1, 2)),
+        AssignmentSpec(5, Fraction(3, 5)),
+        AssignmentSpec(8, Fraction(0)),
+        AssignmentSpec(7, Fraction(1, 3)),
+    )
+
     def test_shared_realizations_share_seeds(self):
+        for workers in (1, 2):
+            cfg = self._cfg(
+                assignments=self.MIXED_SIZES,
+                p_step=0.5,
+                trials=60,
+                share_realizations=True,
+                workers=workers,
+            )
+            rows = sweep(cfg)
+            by_p = {}
+            for row in rows:
+                by_p.setdefault(row.p, set()).add(row.seed)
+            assert all(len(seeds) == 1 for seeds in by_p.values())
+            # counting a shared draw gives what drawing the same seeds gives
+            for row in rows:
+                a = build_assignment(row.k, row.f)
+                expected = estimate_pudof(row.k, row.p, a, cfg.trials, row.seed)
+                assert (row.mean, row.stderr) == expected
+
+    @pytest.mark.parametrize("share, draws_per_point", [(True, 3), (False, 4)])
+    def test_one_draw_per_point_and_size(self, monkeypatch, share, draws_per_point):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_realization(*args)
+
+        monkeypatch.setattr(montecarlo, "sample_realization", counted)
         cfg = self._cfg(
-            assignments=(AssignmentSpec(5, Fraction(3, 5)), AssignmentSpec(5, Fraction(0))),
-            share_realizations=True,
+            assignments=self.MIXED_SIZES, p_step=0.5, trials=20, share_realizations=share
         )
-        rows = sweep(cfg)
-        by_p = {}
-        for row in rows:
-            by_p.setdefault(row.p, set()).add(row.seed)
-        assert all(len(seeds) == 1 for seeds in by_p.values())
+        sweep(cfg)
+        assert len(calls) == cfg.p_count() * cfg.trials * draws_per_point
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

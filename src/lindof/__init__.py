@@ -9,10 +9,8 @@ from .assignment import (
     assignment_label,
     build_assignment,
     format_assignment,
-    helper_fraction,
     random_assignment,
     remove_transmitter,
-    restrict_to_cluster,
 )
 from .montecarlo import (
     AssignmentSpec,
@@ -36,10 +34,8 @@ from .network import (
     sample_realization,
 )
 from .oracle import (
-    CarrierConfig,
     ORACLE_K_LIMIT,
     exact_expected_dof,
-    feasible,
     optimal_zero_forcing_dof,
 )
 from .scheduler import (
@@ -47,8 +43,6 @@ from .scheduler import (
     Schedule,
     ZeroForcingReport,
     build_transmit_signals,
-    dof,
-    schedule_cluster,
     schedule_network,
     verify_zero_forcing,
 )

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import Cluster
-
 
 class RuleOverlapWarning(UserWarning):
     """Two assignment-family rules claimed the same message index."""
@@ -91,37 +89,6 @@ def build_assignment(k: int, f: Fraction | int) -> MessageAssignment:
         for i in range(1, k + 1)
     )
     return MessageAssignment(k, sets)
-
-
-def helper_fraction(a: MessageAssignment) -> Fraction:
-    """Fraction of messages paired with a pure-cancellation helper.
-
-    Counts messages whose transmit set holds exactly one transmitter
-    connected to the message's receiver plus one that is not (the
-    helper). Messages with both connected transmitters, a lone connected
-    transmitter, or no connected transmitter at all do not count.
-    """
-    helpers = 0
-    for i in range(1, a.k + 1):
-        ts = a.transmit_sets[i - 1]
-        connected = sum(1 for t in ts if t in (i - 1, i))
-        if connected == 1 and len(ts) == 2:
-            helpers += 1
-    return Fraction(helpers, a.k)
-
-
-def restrict_to_cluster(a: MessageAssignment, cluster: Cluster) -> MessageAssignment:
-    """Project an assignment onto one cluster, re-indexed locally from 1.
-
-    Transmitters outside the cluster are dropped: the boundary cross link
-    is erased, so they cannot reach any receiver inside the cluster.
-    """
-    offset = cluster.start - 1
-    sets = tuple(
-        frozenset(t - offset for t in a.transmit_sets[i - 1] if cluster.start <= t <= cluster.end)
-        for i in range(cluster.start, cluster.end + 1)
-    )
-    return MessageAssignment(cluster.size, sets)
 
 
 def remove_transmitter(a: MessageAssignment, t: int) -> MessageAssignment:

@@ -31,7 +31,7 @@ from .assignment import (
     build_assignment,
     remove_transmitter,
 )
-from .network import NetworkRealization, derive_seed, sample_realization
+from .network import MAX_K, NetworkRealization, derive_seed, sample_realization
 from .scheduler import schedule_network
 
 CSV_HEADER = (
@@ -67,6 +67,8 @@ class AssignmentSpec:
 P_DECIMALS = 10
 # Largest p grid a sweep accepts: a step of 1e-6 over [0, 1].
 MAX_P_POINTS = 1_000_001
+# Most bytes of packed draws a shared sweep holds for one grid point.
+MAX_DRAW_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class SweepConfig:
     With `share_realizations` all assignments at a grid point reuse the
     same trial seeds (common random numbers), sharpening comparisons
     between them. The trials are then drawn once per point and network
-    size and held packed at (2K-1) bytes per trial while every
-    assignment of that size counts them.
+    size and held packed, (2K-1) bytes per trial and MAX_DRAW_BYTES at
+    most a point, while every assignment of that size counts them.
     """
 
     assignments: tuple[AssignmentSpec, ...]
@@ -108,6 +110,11 @@ class SweepConfig:
             raise ValueError(f"master seed must be at least 0, got {self.master_seed}")
         if not self.assignments:
             raise ValueError("at least one assignment is required")
+        if (k := max(spec.k for spec in self.assignments)) > MAX_K:
+            raise ValueError(f"k must be at most {MAX_K}, got {k}")
+        held = self.trials * sum({2 * spec.k - 1 for spec in self.assignments})
+        if self.share_realizations and held > MAX_DRAW_BYTES:
+            raise ValueError(f"shared draws need {held} bytes a point, over the {MAX_DRAW_BYTES} allowed")
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got {self.workers}")
 

@@ -17,6 +17,8 @@ import numpy as np
 # Resampling floor for attached gains; keeps cancellation ratios well
 # conditioned without changing which schedules are feasible.
 MIN_GAIN_MAGNITUDE = 1e-3
+# Largest network size the tool samples or sweeps.
+MAX_K = 10_000
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -97,8 +99,8 @@ def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
     returns the identical realization. One `.tolist()` turns the draw
     into Python bools, the type `scheduler.decision_pass` reads.
     """
-    if k < 1:
-        raise ValueError(f"need at least one user, got k={k}")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(trial_seed)

@@ -1,18 +1,17 @@
 """Brute-force ground truth for zero-forcing delivery.
 
-Enumerates carrier configurations to find the largest deliverable message
-set for a realization, independently of the greedy scheduler, and gives
-the greedy's exact expected delivery count over all erasure patterns by a
-DP over the scan's states. Generic gains make feasibility purely
-combinatorial: a lone carrier must disturb no active receiver, a carrier
-pair has one free relative scale and can null exactly one receiver that
-both of them reach.
+Finds the largest deliverable message set for a realization independently
+of the greedy scheduler, and gives the greedy's exact expected delivery
+count over all erasure patterns by a DP over the scan's states. Generic
+gains make feasibility purely combinatorial: a lone carrier must disturb
+no active receiver, a carrier pair has one free relative scale and can
+null exactly one receiver that both of them reach. `tests/reference.py`
+states that rule per carrier configuration as `feasible`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .assignment import MessageAssignment, remove_transmitter
@@ -20,75 +19,6 @@ from .network import NetworkRealization
 from .scheduler import LINE_START, decision_pass
 
 ORACLE_K_LIMIT = 10  # exhaustive carrier search
-
-
-@dataclass(frozen=True)
-class CarrierConfig:
-    """Candidate scheme: a delivered set plus, per message, the carriers.
-
-    ``carriers[m-1]`` holds the transmitters actually emitting a signal
-    derived from message m. Undelivered messages carry nothing: their
-    emissions could only add interference.
-    """
-
-    k: int
-    carriers: tuple[frozenset[int], ...]
-    delivered: frozenset[int]
-
-    def __post_init__(self):
-        if len(self.carriers) != self.k:
-            raise ValueError(f"expected {self.k} carrier sets, got {len(self.carriers)}")
-        if any(m < 1 or m > self.k for m in self.delivered):
-            raise ValueError("delivered messages must lie in 1..k")
-        for m, c in enumerate(self.carriers, start=1):
-            if len(c) > 2:
-                raise ValueError(f"message {m}: at most two carriers allowed")
-            if c and m not in self.delivered:
-                raise ValueError(f"message {m} is undelivered but has carriers")
-
-
-def _link_present(r: NetworkRealization, t: int, receiver: int) -> bool:
-    if t == receiver:
-        return r.has_direct(t)
-    if t == receiver - 1:
-        return r.has_cross(t)
-    return False
-
-
-def _reach(r: NetworkRealization, t: int) -> frozenset[int]:
-    """Receivers transmitter t can still touch."""
-    reached = set()
-    if r.has_direct(t):
-        reached.add(t)
-    if t < r.k and r.has_cross(t):
-        reached.add(t + 1)
-    return frozenset(reached)
-
-
-def feasible(cfg: CarrierConfig, r: NetworkRealization) -> bool:
-    """Can this configuration deliver its whole set under generic gains?
-
-    Requires, for every delivered message m: (a) some carrier holds a
-    surviving link into receiver m; (b) the other active receivers its
-    carriers touch number at most one, and any such receiver is touched
-    by both carriers so the pair's free scale can null it there.
-    """
-    if cfg.k != r.k:
-        raise ValueError(f"config has k={cfg.k} but realization has k={r.k}")
-    for m in cfg.delivered:
-        carriers = cfg.carriers[m - 1]
-        if not any(t in (m - 1, m) and _link_present(r, t, m) for t in carriers):
-            return False
-        reaches = [_reach(r, t) for t in carriers]
-        touched = frozenset().union(*reaches) if reaches else frozenset()
-        conflicts = {rr for rr in cfg.delivered if rr != m and rr in touched}
-        if not conflicts:
-            continue
-        if len(conflicts) > 1 or len(carriers) < 2:
-            return False
-        if not conflicts <= reaches[0] & reaches[1]:
-            return False
-    return True
 
 
 def _reach_masks(r: NetworkRealization) -> list[int]:
@@ -135,8 +65,8 @@ def optimal_zero_forcing_dof(r: NetworkRealization, a: MessageAssignment) -> int
     realization is read once, into one reach mask per transmitter, and
     every message's options come from those masks. Candidate sets are
     scanned by decreasing size with that per-message test; the first hit
-    is the optimum. `feasible` is the same rule stated literally, kept as
-    the independent predicate the tests check this against.
+    is the optimum. `feasible` in `tests/reference.py` states the same
+    rule literally; the tests check this function against it.
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")

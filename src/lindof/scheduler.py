@@ -108,21 +108,6 @@ def decision_pass(
     return delivered, (i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near)
 
 
-def schedule_cluster(
-    n: int,
-    direct: Sequence[bool],
-    transmit_sets: Sequence[frozenset[int]],
-) -> Schedule:
-    """Decision pass for a single cluster, in local indices 1..n.
-
-    Cross links inside a cluster are present by definition and are not
-    passed in; `direct[i-1]` is the survival of local direct link i. This
-    is `schedule_network` on the realization with every cross link present.
-    """
-    r = NetworkRealization(n, tuple(direct), (True,) * (n - 1))
-    return schedule_network(r, MessageAssignment(n, tuple(transmit_sets)))
-
-
 def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     """Schedule a whole realization in one scan.
 
@@ -148,11 +133,6 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
             if helper:
                 entries.append((i, i - 2))
     return Schedule(r.k, frozenset(entries), frozenset(delivered))
-
-
-def dof(s: Schedule) -> int:
-    """Messages delivered interference-free in one block."""
-    return len(s.delivered)
 
 
 @dataclass(frozen=True)

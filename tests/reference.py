@@ -1,0 +1,133 @@
+"""Independent references the tests check the shipped code against.
+
+None of this runs in `lindof` itself. `feasible` states the zero-forcing
+rule literally, per carrier configuration, for the oracle tests;
+`schedule_cluster` and `restrict_to_cluster` decide one cluster on its
+own, for the cluster checks; `helper_fraction` counts the helpers an
+assignment really has, for the assignment-family tests.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+
+from lindof.assignment import MessageAssignment
+from lindof.network import Cluster, NetworkRealization
+from lindof.scheduler import Schedule, schedule_network
+
+
+def helper_fraction(a: MessageAssignment) -> Fraction:
+    """Fraction of messages paired with a pure-cancellation helper.
+
+    Counts messages whose transmit set holds exactly one transmitter
+    connected to the message's receiver plus one that is not (the
+    helper). Messages with both connected transmitters, a lone connected
+    transmitter, or no connected transmitter at all do not count.
+    """
+    helpers = 0
+    for i in range(1, a.k + 1):
+        ts = a.transmit_sets[i - 1]
+        connected = sum(1 for t in ts if t in (i - 1, i))
+        if connected == 1 and len(ts) == 2:
+            helpers += 1
+    return Fraction(helpers, a.k)
+
+
+def restrict_to_cluster(a: MessageAssignment, cluster: Cluster) -> MessageAssignment:
+    """Project an assignment onto one cluster, re-indexed locally from 1.
+
+    Transmitters outside the cluster are dropped: the boundary cross link
+    is erased, so they cannot reach any receiver inside the cluster.
+    """
+    offset = cluster.start - 1
+    sets = tuple(
+        frozenset(t - offset for t in a.transmit_sets[i - 1] if cluster.start <= t <= cluster.end)
+        for i in range(cluster.start, cluster.end + 1)
+    )
+    return MessageAssignment(cluster.size, sets)
+
+
+def schedule_cluster(
+    n: int,
+    direct: Sequence[bool],
+    transmit_sets: Sequence[frozenset[int]],
+) -> Schedule:
+    """Decision pass for a single cluster, in local indices 1..n.
+
+    Cross links inside a cluster are present by definition and are not
+    passed in; `direct[i-1]` is the survival of local direct link i. This
+    is `schedule_network` on the realization with every cross link present.
+    """
+    r = NetworkRealization(n, tuple(direct), (True,) * (n - 1))
+    return schedule_network(r, MessageAssignment(n, tuple(transmit_sets)))
+
+
+@dataclass(frozen=True)
+class CarrierConfig:
+    """Candidate scheme: a delivered set plus, per message, the carriers.
+
+    ``carriers[m-1]`` holds the transmitters actually emitting a signal
+    derived from message m. Undelivered messages carry nothing: their
+    emissions could only add interference.
+    """
+
+    k: int
+    carriers: tuple[frozenset[int], ...]
+    delivered: frozenset[int]
+
+    def __post_init__(self):
+        if len(self.carriers) != self.k:
+            raise ValueError(f"expected {self.k} carrier sets, got {len(self.carriers)}")
+        if any(m < 1 or m > self.k for m in self.delivered):
+            raise ValueError("delivered messages must lie in 1..k")
+        for m, c in enumerate(self.carriers, start=1):
+            if len(c) > 2:
+                raise ValueError(f"message {m}: at most two carriers allowed")
+            if c and m not in self.delivered:
+                raise ValueError(f"message {m} is undelivered but has carriers")
+
+
+def _link_present(r: NetworkRealization, t: int, receiver: int) -> bool:
+    if t == receiver:
+        return r.has_direct(t)
+    if t == receiver - 1:
+        return r.has_cross(t)
+    return False
+
+
+def _reach(r: NetworkRealization, t: int) -> frozenset[int]:
+    """Receivers transmitter t can still touch."""
+    reached = set()
+    if r.has_direct(t):
+        reached.add(t)
+    if t < r.k and r.has_cross(t):
+        reached.add(t + 1)
+    return frozenset(reached)
+
+
+def feasible(cfg: CarrierConfig, r: NetworkRealization) -> bool:
+    """Can this configuration deliver its whole set under generic gains?
+
+    Requires, for every delivered message m: (a) some carrier holds a
+    surviving link into receiver m; (b) the other active receivers its
+    carriers touch number at most one, and any such receiver is touched
+    by both carriers so the pair's free scale can null it there.
+    """
+    if cfg.k != r.k:
+        raise ValueError(f"config has k={cfg.k} but realization has k={r.k}")
+    for m in cfg.delivered:
+        carriers = cfg.carriers[m - 1]
+        if not any(t in (m - 1, m) and _link_present(r, t, m) for t in carriers):
+            return False
+        reaches = [_reach(r, t) for t in carriers]
+        touched = frozenset().union(*reaches) if reaches else frozenset()
+        conflicts = {rr for rr in cfg.delivered if rr != m and rr in touched}
+        if not conflicts:
+            continue
+        if len(conflicts) > 1 or len(carriers) < 2:
+            return False
+        if not conflicts <= reaches[0] & reaches[1]:
+            return False
+    return True

@@ -12,12 +12,11 @@ from lindof.assignment import (
     assignment_label,
     build_assignment,
     format_assignment,
-    helper_fraction,
     random_assignment,
     remove_transmitter,
-    restrict_to_cluster,
 )
 from lindof.network import Cluster
+from reference import helper_fraction, restrict_to_cluster
 
 # the (K, f) pairs exercised in the experiment tables
 TABLE_SET = [

@@ -5,6 +5,7 @@ import pytest
 from lindof import __version__
 from lindof.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from lindof.montecarlo import AssignmentSpec, SweepConfig, read_sweep_csv
+from lindof.network import MAX_K
 
 
 def run(capsys, *argv):
@@ -65,6 +66,16 @@ class TestSweepCommand:
             "sweep", "--k", "5", "--f", "0.6", "--out", str(tmp_path / "x.csv"),
         )
         assert code == EXIT_USAGE
+
+    def test_network_size_above_bound_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--k", str(MAX_K + 1), "--f", "0", "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert err == f"error: k must be at most {MAX_K}, got {MAX_K + 1}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "sweep", "--k", "5")
@@ -233,6 +244,12 @@ class TestTraceCommand:
         code, out, err = run(capsys, "trace", "--f", "3/5", "5;11111;1111")
         assert code == EXIT_MISMATCH
         assert err == "error: transmitter 2: cancelling message 1 needs links that are erased\n"
+        assert out == ""
+
+    def test_sampled_network_size_bounded(self, capsys):
+        code, out, err = run(capsys, "trace", "--k", str(MAX_K + 1), "--p", "0.5", "--f", "0")
+        assert code == EXIT_USAGE
+        assert err == f"error: need 1 to {MAX_K} users, got k={MAX_K + 1}\n"
         assert out == ""
 
     def test_sampled_realization(self, capsys):

@@ -10,6 +10,7 @@ from lindof import montecarlo
 from lindof.assignment import MessageAssignment, build_assignment, remove_transmitter
 from lindof.cli import write_manifest
 from lindof.montecarlo import (
+    MAX_DRAW_BYTES,
     AssignmentSpec,
     SweepConfig,
     best_assignment_table,
@@ -18,7 +19,7 @@ from lindof.montecarlo import (
     sweep,
     write_sweep_csv,
 )
-from lindof.network import derive_seed, sample_realization
+from lindof.network import MAX_K, derive_seed, sample_realization
 from lindof.oracle import exact_expected_dof
 from lindof.scheduler import decision_pass
 
@@ -276,6 +277,25 @@ class TestSweep:
         with pytest.raises(ValueError, match="p grid has 10000000001 points"):
             self._cfg(p_step=1e-10)
         assert self._cfg(p_step=1e-6).p_count() == 1_000_001
+        # any member's size, checked before a single transmit set is built
+        self._cfg(assignments=(AssignmentSpec(MAX_K, Fraction(0)),))
+        with pytest.raises(ValueError, match=f"k must be at most {MAX_K}, got {MAX_K + 1}"):
+            self._cfg(assignments=(AssignmentSpec(5, Fraction(0)), AssignmentSpec(MAX_K + 1, Fraction(0))))
+
+    def test_shared_draw_bounded(self):
+        # Only a shared sweep holds its draw: 9 + 11 bytes a trial here,
+        # the two K=5 members counting one draw between them.
+        specs = (
+            AssignmentSpec(5, Fraction(3, 5)), AssignmentSpec(5, Fraction(0)),
+            AssignmentSpec(6, Fraction(0)),
+        )
+        most = MAX_DRAW_BYTES // 20
+        self._cfg(assignments=specs, trials=most, share_realizations=True)
+        self._cfg(assignments=specs, trials=10**12)
+        with pytest.raises(ValueError, match=f"need {20 * (most + 1)} bytes a point"):
+            self._cfg(assignments=specs, trials=most + 1, share_realizations=True)
+        with pytest.raises(ValueError, match="need 20000000000000 bytes a point"):
+            self._cfg(assignments=specs, trials=10**12, share_realizations=True)
 
 
 class TestBestAssignmentTable:

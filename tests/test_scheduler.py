@@ -7,7 +7,6 @@ from lindof.assignment import (
     build_assignment,
     random_assignment,
     remove_transmitter,
-    restrict_to_cluster,
 )
 from lindof.network import (
     NetworkRealization,
@@ -24,11 +23,10 @@ from lindof.scheduler import (
     Schedule,
     build_transmit_signals,
     decision_pass,
-    dof,
-    schedule_cluster,
     schedule_network,
     verify_zero_forcing,
 )
+from reference import restrict_to_cluster, schedule_cluster
 
 
 def random_case(t, max_k=20):
@@ -72,18 +70,36 @@ class TestScheduleNetwork:
         r = NetworkRealization(6, (True,) * 6, (True, True, False, True, True))
         s = schedule_network(r, build_assignment(6, 0))
         assert s.delivered == frozenset({1, 2, 4, 6})
-        assert dof(s) == 4
+        assert len(s.delivered) == 4
 
     def test_all_links_absent(self):
         r = NetworkRealization(4, (False,) * 4, (False,) * 3)
         s = schedule_network(r, build_assignment(4, 0))
         assert s.delivered == frozenset()
 
-    def test_single_cluster_equals_cluster_pass(self):
-        a = build_assignment(5, Fraction(3, 5))
-        r = parse_realization("5;11111;1111")
-        s = schedule_network(r, a)
-        assert s == schedule_cluster(5, r.direct, a.transmit_sets)
+    def test_equals_union_of_cluster_passes(self):
+        # Each cluster scheduled on its own, in local indices, then shifted
+        # back by c.start - 1: the union is the whole scan's entries and
+        # delivered set, entry by entry, not only in count.
+        split = 0
+        for t in range(600):
+            r, a = random_case(t, max_k=15)
+            family = [a]
+            if r.k >= 3:
+                family += [build_assignment(r.k, 0), build_assignment(r.k, Fraction(3, 5))]
+            clusters = partition_into_clusters(r)
+            split += len(clusters) > 1
+            for a in family:
+                entries, delivered = set(), set()
+                for c in clusters:
+                    off = c.start - 1
+                    local = restrict_to_cluster(a, c).transmit_sets
+                    part = schedule_cluster(c.size, r.direct[off : c.end], local)
+                    entries |= {(i + off, j + off) for i, j in part.entries}
+                    delivered |= {i + off for i in part.delivered}
+                s = schedule_network(r, a)
+                assert (s.entries, s.delivered) == (entries, delivered)
+        assert split > 300  # most cases have an erased cross link
 
     def test_size_mismatch_rejected(self):
         r = parse_realization("4;1111;111")
@@ -155,8 +171,9 @@ class TestScheduleInvariants:
             total = 0
             for c in partition_into_clusters(r):
                 local = restrict_to_cluster(a, c)
-                total += dof(schedule_cluster(c.size, r.direct[c.start - 1 : c.end], local.transmit_sets))
-            assert dof(s) == total
+                local_s = schedule_cluster(c.size, r.direct[c.start - 1 : c.end], local.transmit_sets)
+                total += len(local_s.delivered)
+            assert len(s.delivered) == total
 
     def test_prefix_stability(self):
         rng = np.random.default_rng(99)

@@ -34,11 +34,12 @@ def test_exact_vs_monte_carlo_rejects_fraction_with_reason():
     "args, reason",
     [
         (("--k", "2"), "--k must be at least 3, got 2"),
+        (("--k", "201"), "--k must be at most 200, got 201"),
         (("--trials", "0"), "--trials must be at least 1, got 0"),
         (("--seed", "-1"), "--seed must be at least 0, got -1"),
         (("--trials", "abc"), "argument --trials: invalid int value: 'abc'"),
     ],
-    ids=["k-2", "trials-0", "seed--1", "trials-abc"],
+    ids=["k-2", "k-201", "trials-0", "seed--1", "trials-abc"],
 )
 def test_exact_vs_monte_carlo_rejects_bounds_with_reason(args, reason):
     proc = run_script("exact_vs_monte_carlo.py", *args)

@@ -49,6 +49,10 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_IO = 3
 
+# Most random assignments `verify` draws per network size; exhaustive mode
+# holds them all while it checks every pattern against each.
+MAX_RANDOM_ASSIGNMENTS = 10_000
+
 
 class Parser(argparse.ArgumentParser):
     """The parser of every entry point: a malformed flag raises a
@@ -158,6 +162,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--k-max must lie in 3..{ORACLE_K_LIMIT}, got {args.k_max}")
     check_at_least("--trials", args.trials, 1)
     check_at_least("--random-assignments", args.random_assignments, 0)
+    if args.random_assignments > MAX_RANDOM_ASSIGNMENTS:
+        raise ValueError(
+            f"--random-assignments must be at most {MAX_RANDOM_ASSIGNMENTS}, "
+            f"got {args.random_assignments}"
+        )
     check_at_least("--seed", args.seed, 0)
     checked = 0
     mismatches = []

@@ -110,6 +110,11 @@ class SweepConfig:
             raise ValueError(f"master seed must be at least 0, got {self.master_seed}")
         if not self.assignments:
             raise ValueError("at least one assignment is required")
+        seen = set()
+        for spec in self.assignments:
+            if spec in seen:
+                raise ValueError(f"assignment {spec.label} is listed more than once")
+            seen.add(spec)
         if (k := max(spec.k for spec in self.assignments)) > MAX_K:
             raise ValueError(f"k must be at most {MAX_K}, got {k}")
         held = self.trials * sum({2 * spec.k - 1 for spec in self.assignments})

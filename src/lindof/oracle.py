@@ -116,9 +116,9 @@ def exact_expected_dof(
 
     No pattern is listed. A forward DP runs `decision_pass` one user at a
     time, once per distinct scan state and per value of the user's direct
-    link and the cross link before it, and merges equal states. Eight of
-    a state's fields are bits, so at most 2^8 states are live after any
-    user (20 on the K=100 family members). Each state counts the patterns
+    link and the cross link before it, and merges equal states. A state
+    is the user index and five bits, so at most 2^5 = 32 states are live
+    after any user (8 on the family members). Each state counts the patterns
     that reach it per (erased links, delivered) in one integer: their
     generating polynomial, in x for an erased link and y for a delivery,
     taken at powers of two wide enough that no count spills into the

@@ -41,10 +41,13 @@ class Schedule:
         return (i, j) in self.entries
 
 
-# Scan state before user 1. After user i the state is (i, message i's
-# transmit set, own/prev/cancel of user i, own/prev of user i-1, direct
-# links i and i-1, whether cross link i-1 survived); see `decision_pass`.
-LINE_START = (0, frozenset(), False, False, False, False, False, False, False, False)
+# Scan state before user 1. After user i the state is (i, own and cancel
+# of user i, busy_i, busy_{i-1}, whether cross link i-1 survived), where
+# busy_j says receiver j was won and direct link j survived: an unnulled
+# signal from transmitter j disturbs receiver j exactly then. The state
+# names no transmit set: a resumed pass reads message i's set from
+# `transmit_sets`. See `decision_pass`.
+LINE_START = (0, False, False, False, False, False)
 
 
 def decision_pass(
@@ -63,21 +66,25 @@ def decision_pass(
 
     User i reads the decisions of users i-1 and i-2 only, and only while
     they share its cluster: `near` says user i-1 does (cross link i-1
-    survived), `near2` says user i-2 does too. An erased cross link thus
-    resets the scan, which is the cluster split. With `record`, every
-    delivered user i is reported as (i, own, prev, helper, cancel):
-    message i sent from transmitter i, from transmitter i-1, the helper
-    (i, i-2) that goes with the latter, and the cancellation (i-1, i)
-    that goes with the former. Users that get nothing are not reported.
+    survived), `near2` says user i-2 does too. Of user i-2 it reads only
+    busy_{i-2}; of user i-1, busy_{i-1}, its own send and its
+    cancellation. An erased cross link thus resets the scan, which is the
+    cluster split. With `record`, every delivered user i is reported as
+    (i, own, helper, cancel): message i sent from transmitter i when
+    `own`, else from transmitter i-1; the helper (i, i-2) that may go
+    with the latter, and the cancellation (i-1, i) that may go with the
+    former. Users that get nothing are not reported.
 
     The scan resumes after the last user of `state` (default: the start
     of the line) and runs to the last message of `transmit_sets`; the
     count covers the users it visited, and the state it returns resumes
-    it. User i reads direct link i and cross link i-1 only. The state is
-    a hashable tuple, so `oracle.exact_expected_dof` can run the scan one
+    it. User i reads direct link i, cross link i-1 and the transmit sets
+    of messages i-1 and i only. The state is a hashable tuple of an index
+    and five bools, so `oracle.exact_expected_dof` can run the scan one
     user at a time and merge equal states.
     """
-    i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near = state
+    i, own1, cancel1, busy1, busy2, near = state
+    ts1 = transmit_sets[i - 1] if i else frozenset()
     delivered = 0
     for i, ts in enumerate(transmit_sets[i:], start=i + 1):
         d0 = direct[i - 1]
@@ -86,13 +93,12 @@ def decision_pass(
         near = link
         own1_near = own1 and near
         # Try the preceding transmitter first: its signal can only disturb
-        # receiver i-1, and only when that receiver is active through its
-        # own direct link; a helper at transmitter i-2 may null that.
+        # receiver i-1, and only when that receiver is busy; a helper at
+        # transmitter i-2 may null that unless receiver i-2 is busy too.
         back = near and i - 1 in ts and not own1_near
-        plain = not (d1 and prev1)
-        can_help = near2 and i - 2 in ts and not (d2 and (own2 or prev2))
-        prev = back and (plain or can_help)
-        helper = prev and not plain
+        can_help = near2 and i - 2 in ts and not busy2
+        prev = back and (not busy1 or can_help)
+        helper = prev and busy1
         # Otherwise send from the own transmitter. Receiver i must not
         # already be burdened by an uncancellable emission at transmitter
         # i-1; interference from a self-delivering transmitter i-1 can be
@@ -102,10 +108,10 @@ def decision_pass(
         if own or prev:
             delivered += 1
             if record is not None:
-                record((i, own, prev, helper, cancel))
-        own2, prev2, d2 = own1, prev1, d1
-        own1, prev1, cancel1, d1, ts1 = own, prev, cancel, d0, ts
-    return delivered, (i, ts1, own1, prev1, cancel1, own2, prev2, d1, d2, near)
+                record((i, own, helper, cancel))
+        busy2, busy1 = busy1, d0 and (own or prev)
+        own1, cancel1, ts1 = own, cancel, ts
+    return delivered, (i, own1, cancel1, busy1, busy2, near)
 
 
 def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
@@ -122,7 +128,7 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     decision_pass(r.direct, r.cross, a.transmit_sets, decisions.append)
     entries = []
     delivered = []
-    for i, own, _, helper, cancel in decisions:
+    for i, own, helper, cancel in decisions:
         delivered.append(i)
         if own:
             entries.append((i, i))

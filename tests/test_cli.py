@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from lindof import __version__
-from lindof.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from lindof.cli import (
+    EXIT_IO,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_RANDOM_ASSIGNMENTS,
+    main,
+)
 from lindof.montecarlo import AssignmentSpec, SweepConfig, read_sweep_csv
 from lindof.network import MAX_K
 
@@ -74,6 +81,19 @@ class TestSweepCommand:
         )
         assert code == EXIT_USAGE
         assert err == f"error: k must be at most {MAX_K}, got {MAX_K + 1}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_assignment_writes_nothing(self, tmp_path, capsys):
+        # f=0/3 names the same member as f=0, so the CSV would repeat its
+        # rows and `table` would reject it.
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--k", "5", "--f", "0", "--f", "0/3", "--p-step", "0.5",
+            "--trials", "3", "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert err == "error: assignment K=5,f=0/1 is listed more than once\n"
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -203,6 +223,23 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--k-max", "20")
         assert code == EXIT_USAGE
         assert "k-max" in err
+
+    def test_random_assignments_bounded(self, capsys, monkeypatch):
+        # Rejected before any assignment is drawn.
+        def refuse(*args):
+            raise AssertionError("drew an assignment")
+
+        monkeypatch.setattr("lindof.cli.random_assignment", refuse)
+        code, out, err = run(
+            capsys, "verify", "--mode", "exhaustive", "--k-max", "3",
+            "--random-assignments", str(MAX_RANDOM_ASSIGNMENTS + 1),
+        )
+        assert code == EXIT_USAGE
+        assert err == (
+            f"error: --random-assignments must be at most {MAX_RANDOM_ASSIGNMENTS}, "
+            f"got {MAX_RANDOM_ASSIGNMENTS + 1}\n"
+        )
+        assert out == ""
 
     @pytest.mark.parametrize(
         "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--random-assignments", "-1")]

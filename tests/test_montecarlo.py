@@ -281,6 +281,10 @@ class TestSweep:
         self._cfg(assignments=(AssignmentSpec(MAX_K, Fraction(0)),))
         with pytest.raises(ValueError, match=f"k must be at most {MAX_K}, got {MAX_K + 1}"):
             self._cfg(assignments=(AssignmentSpec(5, Fraction(0)), AssignmentSpec(MAX_K + 1, Fraction(0))))
+        # a repeated member would write rows that `read_sweep_csv` rejects
+        with pytest.raises(ValueError, match="assignment K=5,f=0/1 is listed more than once"):
+            self._cfg(assignments=(AssignmentSpec(5, Fraction(0)), AssignmentSpec(5, Fraction(0, 3))))
+        self._cfg(assignments=(AssignmentSpec(5, Fraction(0)), AssignmentSpec(6, Fraction(0))))
 
     def test_shared_draw_bounded(self):
         # Only a shared sweep holds its draw: 9 + 11 bytes a trial here,

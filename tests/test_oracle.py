@@ -26,6 +26,14 @@ from reference import CarrierConfig, feasible
 # per-pattern sum returns the identical value (see
 # test_engines_agree_on_family).
 EXACT_K5_F35_P05 = 2.50390625
+# Pinned with == at p=0.35 so the exact DP stays bit-identical at K=100 and
+# K=8, plain and deactivated.
+EXACT_P035 = {
+    (100, Fraction(1, 2)): 61.895875432375604,
+    (100, Fraction(0)): 62.59017040601478,
+    (8, Fraction(3, 5)): 4.830241402297653,
+    (8, Fraction(0)): 4.883120651803907,
+}
 
 
 def brute_force_over_configs(r, a):
@@ -239,6 +247,12 @@ class TestExactExpectedDof:
     def test_frozen_regression_value(self):
         a = build_assignment(5, Fraction(3, 5))
         assert exact_expected_dof(5, 0.5, a) == pytest.approx(EXACT_K5_F35_P05, abs=1e-12)
+
+    @pytest.mark.parametrize("k, f", list(EXACT_P035))
+    def test_frozen_large_values(self, k, f):
+        a = build_assignment(k, f)
+        for deactivate in (False, True):
+            assert exact_expected_dof(k, 0.35, a, deactivate_last=deactivate) == EXACT_P035[k, f]
 
     def test_engines_agree_on_family(self):
         for k in (3, 5):

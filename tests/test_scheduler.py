@@ -110,7 +110,9 @@ class TestScheduleNetwork:
 class TestDecisionPassCount:
     def test_count_matches_schedule_network(self):
         # The pass's count equals the size of the delivered set that
-        # schedule_network builds from its record, on every pattern.
+        # schedule_network builds from its record, on every pattern. Resumed
+        # user by user it counts the same, and each state names no transmit
+        # set: it is (i, own1, cancel1, busy1, busy2, near).
         for k in range(1, 7):
             rng = np.random.default_rng(derive_seed(62, k))
             family = [random_assignment(k, rng) for _ in range(4)]
@@ -121,6 +123,15 @@ class TestDecisionPassCount:
                 for a in family:
                     count, _ = decision_pass(r.direct, r.cross, a.transmit_sets)
                     assert count == len(schedule_network(r, a).delivered)
+                    total, state = 0, LINE_START
+                    for i in range(1, k + 1):
+                        got, state = decision_pass(
+                            r.direct, r.cross, a.transmit_sets[:i], state=state
+                        )
+                        total += got
+                        assert tuple(map(type, state)) == (int, bool, bool, bool, bool, bool)
+                        assert state[0] == i
+                    assert total == count
 
 
 class TestResumedDecisionPass:

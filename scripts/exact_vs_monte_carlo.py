@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Compare the Monte Carlo estimator against the exact expectation.
 
-`exact_expected_dof` gives the exact expected delivered fraction at any
-K: it runs a DP over the greedy scan's states instead of enumerating the
-2^(2K-1) erasure patterns. The sampled estimate should track it within a
-few standard errors everywhere on the grid. Flags are parsed and checked
-by `lindof`'s own front end: a malformed or out-of-range flag (`--k 2`,
-`--k 201`, `--f 5/3`, `--trials abc`) exits 1 with one `error:` line.
+`exact_expected_dof` gives the exact expected delivered fraction up to
+K = 200 (`oracle.MAX_EXACT_K`): it runs a DP over the greedy scan's
+states instead of enumerating the 2^(2K-1) erasure patterns. The sampled
+estimate should track it within a few standard errors everywhere on the
+grid. Flags are parsed and checked by `lindof`'s own front end: a
+malformed or out-of-range flag (`--k 2`, `--k 201`, `--f 5/3`,
+`--trials abc`) exits 1 with one `error:` line.
 """
 
 import sys
@@ -18,11 +19,7 @@ from lindof import cli
 from lindof.assignment import build_assignment
 from lindof.montecarlo import estimate_pudof
 from lindof.network import derive_seed
-from lindof.oracle import exact_expected_dof
-
-# The exact side grows about as K^4 in time and K^3 in memory: one K=200
-# call for f=3/5 took 9 s and 130 MB peak on a 2-vCPU machine.
-MAX_EXACT_K = 200
+from lindof.oracle import MAX_EXACT_K, exact_expected_dof
 
 
 def run(args) -> int:

@@ -11,7 +11,7 @@ are never revised.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .assignment import MessageAssignment
@@ -54,7 +54,7 @@ def decision_pass(
     direct: Sequence,
     cross: Sequence,
     transmit_sets: Sequence[frozenset[int]],
-    record: Callable[[tuple], object] | None = None,
+    record: tuple[list, list] | None = None,
     state: tuple = LINE_START,
 ):
     """The greedy pass as one left-to-right scan; returns (delivered, state).
@@ -69,11 +69,12 @@ def decision_pass(
     survived), `near2` says user i-2 does too. Of user i-2 it reads only
     busy_{i-2}; of user i-1, busy_{i-1}, its own send and its
     cancellation. An erased cross link thus resets the scan, which is the
-    cluster split. With `record`, every delivered user i is reported as
-    (i, own, helper, cancel): message i sent from transmitter i when
-    `own`, else from transmitter i-1; the helper (i, i-2) that may go
-    with the latter, and the cancellation (i-1, i) that may go with the
-    former. Users that get nothing are not reported.
+    cluster split. With `record`, a pair of lists (users, entries), the
+    scan writes the schedule itself: every delivered user i is appended
+    to `users`, and its sends to `entries` as (message, transmitter)
+    pairs: (i, i) or (i, i-1) for the delivery, then the cancellation
+    (i-1, i) and the helper (i, i-2) when they go with it. Users that
+    get nothing add nothing.
 
     The scan resumes after the last user of `state` (default: the start
     of the line) and runs to the last message of `transmit_sets`; the
@@ -83,6 +84,8 @@ def decision_pass(
     and five bools, so `oracle.exact_expected_dof` can run the scan one
     user at a time and merge equal states.
     """
+    if record is not None:
+        users, entries = record
     i, own1, cancel1, busy1, busy2, near = state
     ts1 = transmit_sets[i - 1] if i else frozenset()
     delivered = 0
@@ -108,7 +111,12 @@ def decision_pass(
         if own or prev:
             delivered += 1
             if record is not None:
-                record((i, own, helper, cancel))
+                users.append(i)
+                entries.append((i, i) if own else (i, i - 1))
+                if cancel:
+                    entries.append((i - 1, i))
+                if helper:
+                    entries.append((i, i - 2))
         busy2, busy1 = busy1, d0 and (own or prev)
         own1, cancel1, ts1 = own, cancel, ts
     return delivered, (i, own1, cancel1, busy1, busy2, near)
@@ -124,21 +132,9 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
-    decisions = []
-    decision_pass(r.direct, r.cross, a.transmit_sets, decisions.append)
-    entries = []
-    delivered = []
-    for i, own, helper, cancel in decisions:
-        delivered.append(i)
-        if own:
-            entries.append((i, i))
-            if cancel:
-                entries.append((i - 1, i))
-        else:
-            entries.append((i, i - 1))
-            if helper:
-                entries.append((i, i - 2))
-    return Schedule(r.k, frozenset(entries), frozenset(delivered))
+    users, entries = [], []
+    decision_pass(r.direct, r.cross, a.transmit_sets, (users, entries))
+    return Schedule(r.k, frozenset(entries), frozenset(users))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ from lindof.network import (
     parse_realization,
     sample_realization,
 )
-from lindof.oracle import exact_expected_dof, optimal_zero_forcing_dof
+from lindof.oracle import MAX_EXACT_K, exact_expected_dof, optimal_zero_forcing_dof
 from lindof.scheduler import schedule_network
 from reference import CarrierConfig, feasible
 
 # Frozen by running the 2^9-pattern enumeration once; the oracle's
 # per-pattern sum returns the identical value (see
-# test_engines_agree_on_family).
+# test_equals_optimum_sum_on_family).
 EXACT_K5_F35_P05 = 2.50390625
 # Pinned with == at p=0.35 so the exact DP stays bit-identical at K=100 and
 # K=8, plain and deactivated.
@@ -160,10 +160,15 @@ class TestOptimalDof:
             assert optimal_zero_forcing_dof(r, a) >= len(schedule_network(r, a).delivered)
 
     def test_equals_greedy_on_family(self):
+        # Deactivated, as every sweep runs them, all seven fractions are
+        # optimal. Plain members with f = 4/5 or 1 are left out: without
+        # the dual send they can fall short.
+        fractions = [Fraction(f) for f in ("0", "1/5", "2/5", "1/2", "3/5", "4/5", "1")]
         for k in (3, 4, 5, 6):
-            for f in (Fraction(0), Fraction(3, 5)):
-                a = build_assignment(k, f)
-                for r in all_realizations(k):
+            family = [build_assignment(k, f) for f in fractions]
+            family = family[:5] + [remove_transmitter(a, k) for a in family]
+            for r in all_realizations(k):
+                for a in family:
                     assert optimal_zero_forcing_dof(r, a) == len(schedule_network(r, a).delivered)
 
     def test_deactivated_direct_link_is_never_read(self):
@@ -219,7 +224,7 @@ def per_pattern_expected_dof(k, p, a, count=greedy_dof):
 
 
 class TestExactExpectedDof:
-    def test_batched_scheduler_engine_equals_per_pattern_sum(self):
+    def test_equals_per_pattern_greedy_sum(self):
         for k in range(1, 8):
             rng = np.random.default_rng(derive_seed(63, k))
             family = [random_assignment(k, rng)]
@@ -254,7 +259,7 @@ class TestExactExpectedDof:
         for deactivate in (False, True):
             assert exact_expected_dof(k, 0.35, a, deactivate_last=deactivate) == EXACT_P035[k, f]
 
-    def test_engines_agree_on_family(self):
+    def test_equals_optimum_sum_on_family(self):
         for k in (3, 5):
             for f in (Fraction(0), Fraction(3, 5)):
                 a = build_assignment(k, f)
@@ -278,3 +283,8 @@ class TestExactExpectedDof:
                 exact_expected_dof(5, p, a)
         with pytest.raises(ValueError, match="assignment has k=5"):
             exact_expected_dof(6, 0.5, a)
+
+    def test_network_size_bounded(self):
+        k = MAX_EXACT_K + 1
+        with pytest.raises(ValueError, match=f"k at most {MAX_EXACT_K}, got k={k}"):
+            exact_expected_dof(k, 0.5, build_assignment(k, Fraction(1, 2)))

@@ -140,13 +140,13 @@ class TestResumedDecisionPass:
         # same decisions, counts and final state as one uninterrupted scan.
         for t in range(300):
             r, a = random_case(t)
-            whole = []
-            count, end = decision_pass(r.direct, r.cross, a.transmit_sets, whole.append)
-            steps = []
+            whole = ([], [])
+            count, end = decision_pass(r.direct, r.cross, a.transmit_sets, whole)
+            steps = ([], [])
             total, state = 0, LINE_START
             for i in range(1, r.k + 1):
                 got, state = decision_pass(
-                    r.direct, r.cross, a.transmit_sets[:i], steps.append, state
+                    r.direct, r.cross, a.transmit_sets[:i], steps, state
                 )
                 total += got
             assert steps == whole

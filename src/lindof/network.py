@@ -9,6 +9,7 @@ links carry generic complex gains.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ import numpy as np
 # Resampling floor for attached gains; keeps cancellation ratios well
 # conditioned without changing which schedules are feasible.
 MIN_GAIN_MAGNITUDE = 1e-3
+# Each gain component has variance 1/2. Equal to 1.0 / np.sqrt(2.0) in
+# every bit; math.sqrt(0.5) is one ulp larger.
+_GAIN_SCALE = 1.0 / math.sqrt(2.0)
 # Largest network size the tool samples or sweeps.
 MAX_K = 10_000
 
@@ -63,6 +67,9 @@ class NetworkRealization:
                 continue
             if len(gains) != len(links):
                 raise ValueError(f"{name} gains: expected {len(links)} values, got {len(gains)}")
+            if tuple(map(bool, gains)) == links:
+                continue
+            # Some gain disagrees with its link: name the first one.
             for idx, (present, gain) in enumerate(zip(links, gains), start=1):
                 if present and gain == 0:
                     raise ValueError(f"surviving {name} link {idx} has zero gain")
@@ -75,21 +82,28 @@ class NetworkRealization:
 
     def has_direct(self, i: int) -> bool:
         """Did the transmitter-i -> receiver-i link survive (1-based)?"""
-        return self.direct[i - 1]
+        return self.direct[_position(i, self.k, "direct")]
 
     def has_cross(self, j: int) -> bool:
         """Did the transmitter-j -> receiver-(j+1) link survive (1-based)?"""
-        return self.cross[j - 1]
+        return self.cross[_position(j, self.k - 1, "cross")]
 
     def gain_direct(self, i: int) -> complex:
         if self.direct_gain is None:
             raise ValueError("realization has no gains attached")
-        return self.direct_gain[i - 1]
+        return self.direct_gain[_position(i, self.k, "direct")]
 
     def gain_cross(self, j: int) -> complex:
         if self.cross_gain is None:
             raise ValueError("realization has no gains attached")
-        return self.cross_gain[j - 1]
+        return self.cross_gain[_position(j, self.k - 1, "cross")]
+
+
+def _position(link: int, count: int, name: str) -> int:
+    """Tuple position of 1-based link `link`; IndexError unless 1 <= link <= count."""
+    if not 1 <= link <= count:
+        raise IndexError(f"{name} link {link} outside 1..{count}")
+    return link - 1
 
 
 def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
@@ -137,24 +151,32 @@ def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> Netwo
     one two-normal draw per attempt.
     """
     rng = np.random.default_rng(trial_seed)
-    scale = 1.0 / np.sqrt(2.0)
-    links = r.direct + r.cross
-    normals = (rng.normal(size=2 * sum(links)) * scale).tolist()
-    at = 0
-    gains = []
-    for present in links:
-        gain = 0j
-        while present:
-            if at == len(normals):
-                normals += (rng.normal(size=2) * scale).tolist()
-            gain = complex(normals[at], normals[at + 1])
-            at += 2
-            if abs(gain) >= MIN_GAIN_MAGNITUDE:
-                break
-        gains.append(gain)
+    wanted = sum(r.direct) + sum(r.cross)
+    draws = _draw_gains(rng, wanted)
+    floor = MIN_GAIN_MAGNITUDE
+    if draws and min(map(abs, draws)) < floor:
+        # Every pair of the block is read before the first top-up, so the
+        # kept pairs are the block's passing pairs, then passing top-ups.
+        draws = [gain for gain in draws if abs(gain) >= floor]
+        while len(draws) < wanted:
+            draws += [gain for gain in _draw_gains(rng, 1) if abs(gain) >= floor]
+    pairs = iter(draws)
     return NetworkRealization(
-        r.k, r.direct, r.cross, tuple(gains[: r.k]), tuple(gains[r.k :])
+        r.k,
+        r.direct,
+        r.cross,
+        tuple([next(pairs) if present else 0j for present in r.direct]),
+        tuple([next(pairs) if present else 0j for present in r.cross]),
     )
+
+
+def _draw_gains(rng: np.random.Generator, n: int) -> list[complex]:
+    """n gains from 2n normals of variance 1/2, paired in draw order.
+
+    ``normal(scale=s)`` returns s * z, the same floats as ``normal() * s``;
+    the complex128 view makes complex(z0 * s, z1 * s) from each pair.
+    """
+    return rng.normal(scale=_GAIN_SCALE, size=2 * n).view(np.complex128).tolist()
 
 
 @dataclass(frozen=True)

@@ -38,67 +38,54 @@ def _reach_masks(r: NetworkRealization) -> list[int]:
     return reach
 
 
-def _carrier_options(
-    reach: list[int], a: MessageAssignment, m: int
-) -> list[tuple[int, int]]:
-    """(reach, both-reach) bitmasks for every workable carrier choice of m.
-
-    A choice is a non-empty subset of the transmit set containing at
-    least one carrier with a surviving link into receiver m, read from
-    the realization's reach masks: carrier t serves m iff
-    ``reach[t] & 1 << (m - 1)``, and a pair's option is
-    ``(r1 | r2, r1 & r2)``.
-    """
-    bit = 1 << (m - 1)
-    ts = sorted(a.transmit_sets[m - 1])
-    options = [(reach[t], 0) for t in ts if reach[t] & bit]
-    if len(ts) == 2:
-        r1, r2 = reach[ts[0]], reach[ts[1]]
-        if (r1 | r2) & bit:
-            options.append((r1 | r2, r1 & r2))
-    return options
-
-
 def optimal_zero_forcing_dof(r: NetworkRealization, a: MessageAssignment) -> int:
     """Largest |delivered set| over all feasible carrier configurations.
 
     The feasibility predicate couples each message's carriers only with
     the delivered set, never with other messages' carriers, so a set D
     works iff every member has some workable choice against D. The
-    realization is read once, into one reach mask per transmitter, and
-    every message's options come from those masks. Candidate sets are
-    scanned by decreasing size with that per-message test; the first hit
-    is the optimum. `feasible` in `tests/reference.py` states the same
-    rule literally; the tests check this function against it.
+    realization is read once, into one reach mask per transmitter. A
+    choice is a non-empty subset of message m's transmit set holding a
+    carrier with a surviving link into receiver m, and is kept as
+    (reach, both-reach) bitmasks: ``(reach[t], 0)`` for a lone carrier t
+    with ``reach[t] & bit``, ``(r1 | r2, r1 & r2)`` for a pair, which is
+    symmetric in its carriers. It works against D iff the other members
+    it touches number at most one and both carriers reach that one.
+    Candidate sets are scanned by decreasing size; the first hit is the
+    optimum. `feasible` in `tests/reference.py` states the same rule
+    literally; the tests check this function against it.
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
     if r.k > ORACLE_K_LIMIT:
         raise ValueError(f"exhaustive search limited to k <= {ORACLE_K_LIMIT}, got k={r.k}")
     reach = _reach_masks(r)
-    deliverable = []
-    options = []
-    for m in range(1, r.k + 1):
-        opts = _carrier_options(reach, a, m)
-        if opts:
-            deliverable.append(m)
-            options.append(opts)
-    for size in range(len(deliverable), 0, -1):
-        for combo in combinations(range(len(deliverable)), size):
+    members = []  # (receiver bit, options) of every message with an option
+    bit = 1
+    for ts in a.transmit_sets:
+        options = [(reach[t], 0) for t in ts if reach[t] & bit]
+        if len(ts) == 2:
+            t1, t2 = ts
+            r1, r2 = reach[t1], reach[t2]
+            if (r1 | r2) & bit:
+                options.append((r1 | r2, r1 & r2))
+        if options:
+            members.append((bit, options))
+        bit <<= 1
+    for size in range(len(members), 0, -1):
+        for combo in combinations(members, size):
             d_mask = 0
-            for idx in combo:
-                d_mask |= 1 << (deliverable[idx] - 1)
-            ok = True
-            for idx in combo:
-                self_bit = 1 << (deliverable[idx] - 1)
-                for reach, both in options[idx]:
-                    z = reach & d_mask & ~self_bit
+            for bit, _ in combo:
+                d_mask |= bit
+            for bit, options in combo:
+                others = d_mask ^ bit
+                for reach_m, both in options:
+                    z = reach_m & others
                     if z & ~both == 0 and z.bit_count() <= 1:
                         break
                 else:
-                    ok = False
                     break
-            if ok:
+            else:
                 return size
     return 0
 

@@ -149,38 +149,43 @@ class BeamformingPlan:
 
 
 def build_transmit_signals(s: Schedule, r: NetworkRealization) -> BeamformingPlan:
-    """Turn decisions into transmit weights.
+    """Turn decisions into transmit weights, one schedule entry at a time.
 
     Deliveries transmit at unit weight. A cancellation emission carries
     the exact gain ratio that nulls the message at the one receiver it
     would otherwise disturb: transmitter t nulls message t-1 at receiver
-    t, and message t+2 at receiver t+1.
+    t, and message t+2 at receiver t+1. An entry (m, t) must be one of
+    (t, t), (t+1, t), (t-1, t) and (t+2, t) with m and t in 1..k, else
+    ValueError; a cancellation over an erased link is RuntimeError.
     """
-    if r.k != s.k:
-        raise ValueError(f"realization has k={r.k} but schedule has k={s.k}")
+    k = r.k
+    if k != s.k:
+        raise ValueError(f"realization has k={k} but schedule has k={s.k}")
     if not r.has_gains:
         raise ValueError("realization has no gains attached")
-    weights = []
-    for t in range(1, r.k + 1):
-        w: dict[int, complex] = {}
-        if (t, t) in s.entries:
-            w[t] = 1 + 0j
-        if (t + 1, t) in s.entries:
-            w[t + 1] = 1 + 0j
-        if (t - 1, t) in s.entries:
-            if not (r.has_cross(t - 1) and r.has_direct(t)):
+    direct, cross = r.direct, r.cross
+    direct_gain, cross_gain = r.direct_gain, r.cross_gain
+    weights: list[dict[int, complex]] = [{} for _ in range(k)]
+    for m, t in s.entries:
+        if not (0 < t <= k and 0 < m <= k):
+            raise ValueError(f"schedule entry {(m, t)} lies outside 1..{k}")
+        if m == t or m == t + 1:
+            weights[t - 1][m] = 1 + 0j
+        elif m == t - 1:
+            if not (cross[t - 2] and direct[t - 1]):
                 raise RuntimeError(
-                    f"transmitter {t}: cancelling message {t - 1} needs links that are erased"
+                    f"transmitter {t}: cancelling message {m} needs links that are erased"
                 )
-            w[t - 1] = -r.gain_cross(t - 1) / r.gain_direct(t)
-        if t + 2 <= r.k and (t + 2, t) in s.entries:
-            if not (r.has_direct(t + 1) and r.has_cross(t)):
+            weights[t - 1][m] = -cross_gain[t - 2] / direct_gain[t - 1]
+        elif m == t + 2:
+            if not (direct[t] and cross[t - 1]):
                 raise RuntimeError(
-                    f"transmitter {t}: cancelling message {t + 2} needs links that are erased"
+                    f"transmitter {t}: cancelling message {m} needs links that are erased"
                 )
-            w[t + 2] = -r.gain_direct(t + 1) / r.gain_cross(t)
-        weights.append(w)
-    return BeamformingPlan(r.k, tuple(weights))
+            weights[t - 1][m] = -direct_gain[t] / cross_gain[t - 1]
+        else:
+            raise ValueError(f"schedule entry {(m, t)}: transmitter {t} cannot send message {m}")
+    return BeamformingPlan(k, tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -214,22 +219,24 @@ def verify_zero_forcing(
     """
     if not r.has_gains:
         raise ValueError("realization has no gains attached")
-    if r.k != s.k or plan.k != s.k:
+    k = r.k
+    if k != s.k or plan.k != s.k:
         raise ValueError("plan, schedule and realization sizes disagree")
+    weights, direct_gain, cross_gain = plan.weights, r.direct_gain, r.cross_gain
     checks = []
     failures = []
     for i in sorted(s.delivered):
-        net: dict[int, complex] = {}
-        incoming = [(i, r.gain_direct(i))]
-        if i >= 2:
-            incoming.append((i - 1, r.gain_cross(i - 1)))
-        for t, gain in incoming:
-            if gain == 0:
-                continue
-            for m, w in plan.transmitter(t).items():
+        if not 0 < i <= k:
+            raise ValueError(f"delivered user {i} lies outside 1..{k}")
+        # Net coefficient per message: the direct link first, then the cross one.
+        gain = direct_gain[i - 1]
+        net = {m: gain * w for m, w in weights[i - 1].items()} if gain else {}
+        gain = cross_gain[i - 2] if i >= 2 else 0j
+        if gain:
+            for m, w in weights[i - 2].items():
                 net[m] = net.get(m, 0j) + gain * w
-        desired = abs(net.get(i, 0j))
-        interference = max((abs(c) for m, c in net.items() if m != i), default=0.0)
+        desired = abs(net.pop(i, 0j))
+        interference = max(map(abs, net.values()), default=0.0)
         if desired > 0:
             ratio = interference / desired
         else:

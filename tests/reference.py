@@ -4,7 +4,10 @@ None of this runs in `lindof` itself. `feasible` states the zero-forcing
 rule literally, per carrier configuration, for the oracle tests;
 `schedule_cluster` and `restrict_to_cluster` decide one cluster on its
 own, for the cluster checks; `helper_fraction` counts the helpers an
-assignment really has, for the assignment-family tests.
+assignment really has, for the assignment-family tests;
+`build_transmit_signals` and `verify_zero_forcing` are the
+transmitter-by-transmitter beamforming and the per-link zero-forcing
+check that the shipped entry-driven versions must match.
 """
 
 from __future__ import annotations
@@ -15,7 +18,15 @@ from fractions import Fraction
 
 from lindof.assignment import MessageAssignment
 from lindof.network import Cluster, NetworkRealization
-from lindof.scheduler import Schedule, schedule_network
+from lindof.scheduler import (
+    MAX_INTERFERENCE_RATIO,
+    MIN_DESIRED_MAGNITUDE,
+    BeamformingPlan,
+    ReceiverCheck,
+    Schedule,
+    ZeroForcingReport,
+    schedule_network,
+)
 
 
 def helper_fraction(a: MessageAssignment) -> Fraction:
@@ -131,3 +142,87 @@ def feasible(cfg: CarrierConfig, r: NetworkRealization) -> bool:
         if not conflicts <= reaches[0] & reaches[1]:
             return False
     return True
+
+
+def build_transmit_signals(s: Schedule, r: NetworkRealization) -> BeamformingPlan:
+    """Turn decisions into transmit weights.
+
+    Deliveries transmit at unit weight. A cancellation emission carries
+    the exact gain ratio that nulls the message at the one receiver it
+    would otherwise disturb: transmitter t nulls message t-1 at receiver
+    t, and message t+2 at receiver t+1.
+    """
+    if r.k != s.k:
+        raise ValueError(f"realization has k={r.k} but schedule has k={s.k}")
+    if not r.has_gains:
+        raise ValueError("realization has no gains attached")
+    weights = []
+    for t in range(1, r.k + 1):
+        w: dict[int, complex] = {}
+        if (t, t) in s.entries:
+            w[t] = 1 + 0j
+        if (t + 1, t) in s.entries:
+            w[t + 1] = 1 + 0j
+        if (t - 1, t) in s.entries:
+            if not (r.has_cross(t - 1) and r.has_direct(t)):
+                raise RuntimeError(
+                    f"transmitter {t}: cancelling message {t - 1} needs links that are erased"
+                )
+            w[t - 1] = -r.gain_cross(t - 1) / r.gain_direct(t)
+        if t + 2 <= r.k and (t + 2, t) in s.entries:
+            if not (r.has_direct(t + 1) and r.has_cross(t)):
+                raise RuntimeError(
+                    f"transmitter {t}: cancelling message {t + 2} needs links that are erased"
+                )
+            w[t + 2] = -r.gain_direct(t + 1) / r.gain_cross(t)
+        weights.append(w)
+    return BeamformingPlan(r.k, tuple(weights))
+
+
+def verify_zero_forcing(
+    plan: BeamformingPlan,
+    s: Schedule,
+    r: NetworkRealization,
+) -> ZeroForcingReport:
+    """Numerically confirm the zero-forcing contract under attached gains.
+
+    For every active (delivered-to) receiver the net coefficient of each
+    message is accumulated over the two incoming links. The check passes
+    iff the receiver's own message survives with magnitude at least
+    MIN_DESIRED_MAGNITUDE and every other message is suppressed below
+    MAX_INTERFERENCE_RATIO relative to it. Inactive receivers may see
+    anything.
+    """
+    if not r.has_gains:
+        raise ValueError("realization has no gains attached")
+    if r.k != s.k or plan.k != s.k:
+        raise ValueError("plan, schedule and realization sizes disagree")
+    checks = []
+    failures = []
+    for i in sorted(s.delivered):
+        net: dict[int, complex] = {}
+        incoming = [(i, r.gain_direct(i))]
+        if i >= 2:
+            incoming.append((i - 1, r.gain_cross(i - 1)))
+        for t, gain in incoming:
+            if gain == 0:
+                continue
+            for m, w in plan.transmitter(t).items():
+                net[m] = net.get(m, 0j) + gain * w
+        desired = abs(net.get(i, 0j))
+        interference = max((abs(c) for m, c in net.items() if m != i), default=0.0)
+        if desired > 0:
+            ratio = interference / desired
+        else:
+            ratio = float("inf") if interference > 0 else 0.0
+        ok = desired >= MIN_DESIRED_MAGNITUDE and ratio <= MAX_INTERFERENCE_RATIO
+        checks.append(ReceiverCheck(i, desired, ratio, ok))
+        if desired < MIN_DESIRED_MAGNITUDE:
+            failures.append(
+                f"receiver {i}: desired coefficient {desired:.3e} below {MIN_DESIRED_MAGNITUDE:g}"
+            )
+        elif ratio > MAX_INTERFERENCE_RATIO:
+            failures.append(
+                f"receiver {i}: relative interference {ratio:.3e} above {MAX_INTERFERENCE_RATIO:g}"
+            )
+    return ZeroForcingReport(not failures, tuple(checks), tuple(failures))

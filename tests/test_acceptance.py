@@ -134,6 +134,7 @@ def test_criterion_4_estimator_consistency():
     assert ok, details
 
 
+@pytest.mark.slow
 def test_criterion_5_crossover_orderings():
     """Winner orderings at desk scale with common random numbers, 1e5 trials."""
     trials = 100_000

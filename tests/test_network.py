@@ -140,10 +140,28 @@ class TestCoefficients:
         assert (rejected > 1000) == (floor == 0.7)
 
     def test_gain_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^erased direct link 2 has nonzero gain$"):
             NetworkRealization(2, (True, False), (True,), (1 + 0j, 2j), (0.5 + 0j,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^surviving direct link 2 has zero gain$"):
             NetworkRealization(2, (True, True), (True,), (1 + 0j, 0j), (0.5 + 0j,))
+        with pytest.raises(ValueError, match="^cross gains: expected 1 values, got 2$"):
+            NetworkRealization(2, (True, True), (True,), (1 + 0j, 2j), (0.5 + 0j, 0j))
+        # the first disagreeing link is named, not a later one
+        with pytest.raises(ValueError, match="^surviving cross link 2 has zero gain$"):
+            NetworkRealization(4, (True,) * 4, (False, True, False), (1j,) * 4, (0j, 0j, 1j))
+
+    def test_accessors_reject_links_outside_the_line(self):
+        r = attach_generic_coefficients(parse_realization("3;111;11"), 1)
+        for accessor, count in (
+            ("has_direct", 3),
+            ("gain_direct", 3),
+            ("has_cross", 2),
+            ("gain_cross", 2),
+        ):
+            assert getattr(r, accessor)(1) and getattr(r, accessor)(count)
+            for link in (0, count + 1):
+                with pytest.raises(IndexError, match=f"link {link} outside 1..{count}"):
+                    getattr(r, accessor)(link)
 
 
 class TestClusters:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from lindof.scheduler import (
     schedule_network,
     verify_zero_forcing,
 )
+import reference
 from reference import restrict_to_cluster, schedule_cluster
 
 
@@ -240,6 +242,15 @@ class TestBeamforming:
         with pytest.raises(ValueError):
             build_transmit_signals(s, r)
 
+    @pytest.mark.parametrize("entry", [(0, 1), (4, 3), (5, 3), (1, 3)])
+    def test_entry_outside_the_line_or_reach_is_rejected(self, entry):
+        # (0, 1) once read cross link 0 as cross[-1], (4, 3) weighted a
+        # message the line lacks, (5, 3) and (1, 3) were dropped silently
+        r = attach_generic_coefficients(parse_realization("3;111;11"), 1)
+        s = Schedule(3, frozenset({(1, 1), entry}), frozenset({1}))
+        with pytest.raises(ValueError, match=re.escape(str(entry))):
+            build_transmit_signals(s, r)
+
     def test_cancellation_over_erased_link_is_invariant_violation(self):
         # hand-built schedule demanding a null through a dead link
         r = attach_generic_coefficients(parse_realization("3;101;11"), 1)
@@ -275,3 +286,44 @@ class TestVerifyZeroForcing:
         report = verify_zero_forcing(broken, s, r)
         assert not report.passed
         assert any("receiver 2" in f for f in report.failures)
+
+    @pytest.mark.parametrize("delivered", [{0, 1}, {3, 4}])
+    def test_delivered_user_outside_the_line_is_rejected(self, delivered):
+        r = attach_generic_coefficients(parse_realization("3;111;11"), 1)
+        s = Schedule(3, frozenset({(1, 1), (3, 3)}), frozenset(delivered))
+        plan = build_transmit_signals(s, r)
+        bad = min(delivered) if min(delivered) < 1 else max(delivered)
+        with pytest.raises(ValueError, match=f"delivered user {bad} lies outside 1..3"):
+            verify_zero_forcing(plan, s, r)
+
+
+class TestAgainstReference:
+    def test_plans_and_reports_equal_reference_on_every_pattern(self):
+        # Random assignments for K=1..6, plus f=3/5 plain and f=0 with
+        # the last transmitter removed from K=3. Each plan is checked
+        # as built and with its cancellations dropped, so failing
+        # reports are compared too.
+        rng = np.random.default_rng(18)
+        seed = failing = 0
+        for k in range(1, 7):
+            members = [random_assignment(k, rng) for _ in range(3)]
+            if k >= 3:
+                members += [
+                    build_assignment(k, Fraction(3, 5)),
+                    remove_transmitter(build_assignment(k, 0), k),
+                ]
+            for a in members:
+                for r in all_realizations(k):
+                    r = attach_generic_coefficients(r, seed)
+                    seed += 1
+                    s = schedule_network(r, a)
+                    plan = build_transmit_signals(s, r)
+                    assert plan == reference.build_transmit_signals(s, r)
+                    bare = BeamformingPlan(
+                        k, tuple({m: w for m, w in ws.items() if w == 1} for ws in plan.weights)
+                    )
+                    for p in (plan, bare):
+                        report = verify_zero_forcing(p, s, r)
+                        assert report == reference.verify_zero_forcing(p, s, r)
+                        failing += not report.passed
+        assert failing > 100

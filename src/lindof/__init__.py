@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .assignment import (
     MessageAssignment,
-    RuleOverlapWarning,
     assignment_label,
     build_assignment,
     format_assignment,
@@ -39,7 +38,6 @@ from .oracle import (
     optimal_zero_forcing_dof,
 )
 from .scheduler import (
-    BeamformingPlan,
     Schedule,
     ZeroForcingReport,
     build_transmit_signals,

@@ -9,15 +9,10 @@ helper that is not connected to the message's own receiver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-class RuleOverlapWarning(UserWarning):
-    """Two assignment-family rules claimed the same message index."""
 
 
 @dataclass(frozen=True)
@@ -44,10 +39,10 @@ def build_assignment(k: int, f: Fraction | int) -> MessageAssignment:
 
     A fraction f of the messages get one transmitter connected to their
     receiver plus one helper used purely for cancellation; the rest get
-    both connected transmitters. All index rules are evaluated in exact
-    rational arithmetic. Rules are applied in order; if two ever claim
-    the same message the earlier one wins and a RuleOverlapWarning is
-    issued. Rule ranges {1..x} are empty whenever x < 1.
+    both connected transmitters. Message 1 is known at {1, 2} and message
+    k at {k-2, k-1}; message i in between at {i, i+1} if a forward rule
+    names it, else at {i-1, i}. All index rules are evaluated in exact
+    rational arithmetic. Rule ranges {1..x} are empty whenever x < 1.
     """
     f = Fraction(f)
     if k < 3:
@@ -55,40 +50,26 @@ def build_assignment(k: int, f: Fraction | int) -> MessageAssignment:
     if not 0 <= f <= 1:
         raise ValueError(f"helper fraction must lie in [0, 1], got {f}")
 
-    claimed: dict[int, tuple[str, frozenset[int]]] = {}
-
-    def claim(i: int, rule: str, transmitters: frozenset[int]) -> None:
-        if i in claimed:
-            warnings.warn(
-                f"message {i}: rule {rule!r} also matches (keeping {claimed[i][0]!r})",
-                RuleOverlapWarning,
-            )
-            return
-        claimed[i] = (rule, transmitters)
-
-    claim(1, "first", frozenset({1, 2}))
-    claim(k, "last", frozenset({k - 2, k - 1}))
-
     fk = f * k
     # Strided forward rows {i, i+1}. The stride divisor is only evaluated
     # once the range is known non-empty, which needs fk >= 3 > 1.
+    forward = {1}  # message 1 is sent from {1, 2}
     hi = min(fk - 2, k // 2 - 1)
     if hi >= 1:
         stride = max(2, math.floor(Fraction(k) / (fk - 1)))
-        for n in range(1, math.floor(hi) + 1):
-            i = 1 + n * stride
-            claim(i, "stride", frozenset({i, i + 1}))
+        forward.update(1 + n * stride for n in range(1, math.floor(hi) + 1))
     # Even-indexed forward rows, used once more than half the messages
-    # carry a helper.
+    # carry a helper. The rules never overlap: a stride above 2 needs
+    # f <= 1/3 + 1/k and even rows need f > 1/2 + 1/k, so with both the
+    # stride is 2 and its rows are odd; all rows lie in 2..k-1.
     hi = math.ceil((f - Fraction(1, 2)) * k) - 1
-    for n in range(1, hi + 1):
-        claim(2 * n, "even", frozenset({2 * n, 2 * n + 1}))
+    forward.update(range(2, 2 * hi + 1, 2))
 
     sets = tuple(
-        claimed[i][1] if i in claimed else frozenset({i - 1, i})
-        for i in range(1, k + 1)
+        frozenset({i, i + 1}) if i in forward else frozenset({i - 1, i})
+        for i in range(1, k)
     )
-    return MessageAssignment(k, sets)
+    return MessageAssignment(k, sets + (frozenset({k - 2, k - 1}),))
 
 
 def remove_transmitter(a: MessageAssignment, t: int) -> MessageAssignment:

@@ -217,7 +217,7 @@ def cmd_trace(args) -> int:
         print("  decisions: " + (" ".join(f"({i},{j})" for i, j in pairs) or "(none)"))
         print("  delivered: " + (" ".join(str(i) for i in delivered) or "(none)"))
         for t in range(cluster.start, cluster.end + 1):
-            weights = plan.transmitter(t)
+            weights = plan[t - 1]
             if weights:
                 body = ", ".join(f"W{m} x {w:.4g}" for m, w in sorted(weights.items()))
             else:

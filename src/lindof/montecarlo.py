@@ -225,6 +225,8 @@ def estimate_pudof(
         raise ValueError(f"assignment has k={assignment.k}, expected {k}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    if master_seed < 0:
+        raise ValueError(f"master seed must be at least 0, got {master_seed}")
     if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     width = 2 * k - 1

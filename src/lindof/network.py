@@ -152,14 +152,12 @@ def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> Netwo
     """
     rng = np.random.default_rng(trial_seed)
     wanted = sum(r.direct) + sum(r.cross)
-    draws = _draw_gains(rng, wanted)
     floor = MIN_GAIN_MAGNITUDE
-    if draws and min(map(abs, draws)) < floor:
-        # Every pair of the block is read before the first top-up, so the
-        # kept pairs are the block's passing pairs, then passing top-ups.
-        draws = [gain for gain in draws if abs(gain) >= floor]
-        while len(draws) < wanted:
-            draws += [gain for gain in _draw_gains(rng, 1) if abs(gain) >= floor]
+    # Every pair of the block is read before the first top-up, so the
+    # kept pairs are the block's passing pairs, then passing top-ups.
+    draws = [gain for gain in _draw_gains(rng, wanted) if abs(gain) >= floor]
+    while len(draws) < wanted:
+        draws += [gain for gain in _draw_gains(rng, 1) if abs(gain) >= floor]
     pairs = iter(draws)
     return NetworkRealization(
         r.k,

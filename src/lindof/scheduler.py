@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .assignment import MessageAssignment
 from .network import NetworkRealization
@@ -137,24 +138,15 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     return Schedule(r.k, frozenset(entries), frozenset(users))
 
 
-@dataclass(frozen=True)
-class BeamformingPlan:
-    """Per-transmitter complex weight for every message it emits."""
-
-    k: int
-    weights: tuple[dict[int, complex], ...]
-
-    def transmitter(self, t: int) -> dict[int, complex]:
-        return self.weights[t - 1]
-
-
-def build_transmit_signals(s: Schedule, r: NetworkRealization) -> BeamformingPlan:
+def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int, complex], ...]:
     """Turn decisions into transmit weights, one schedule entry at a time.
 
-    Deliveries transmit at unit weight. A cancellation emission carries
-    the exact gain ratio that nulls the message at the one receiver it
-    would otherwise disturb: transmitter t nulls message t-1 at receiver
-    t, and message t+2 at receiver t+1. An entry (m, t) must be one of
+    Returns one dict per transmitter: entry t-1 maps every message that
+    transmitter t emits to its complex weight. Deliveries transmit at
+    unit weight. A cancellation emission carries the exact gain ratio
+    that nulls the message at the one receiver it would otherwise
+    disturb: transmitter t nulls message t-1 at receiver t, and message
+    t+2 at receiver t+1. An entry (m, t) must be one of
     (t, t), (t+1, t), (t-1, t) and (t+2, t) with m and t in 1..k, else
     ValueError; a cancellation over an erased link is RuntimeError.
     """
@@ -185,44 +177,42 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> BeamformingPla
             weights[t - 1][m] = -direct_gain[t] / cross_gain[t - 1]
         else:
             raise ValueError(f"schedule entry {(m, t)}: transmitter {t} cannot send message {m}")
-    return BeamformingPlan(k, tuple(weights))
+    return tuple(weights)
 
 
-@dataclass(frozen=True)
-class ReceiverCheck:
+class ReceiverCheck(NamedTuple):
     receiver: int
     desired_magnitude: float
     interference_ratio: float
-    ok: bool
 
 
-@dataclass(frozen=True)
-class ZeroForcingReport:
+class ZeroForcingReport(NamedTuple):
     passed: bool
     checks: tuple[ReceiverCheck, ...]
     failures: tuple[str, ...]
 
 
 def verify_zero_forcing(
-    plan: BeamformingPlan,
+    weights: Sequence[dict[int, complex]],
     s: Schedule,
     r: NetworkRealization,
 ) -> ZeroForcingReport:
     """Numerically confirm the zero-forcing contract under attached gains.
 
-    For every active (delivered-to) receiver the net coefficient of each
-    message is accumulated over the two incoming links. The check passes
-    iff the receiver's own message survives with magnitude at least
-    MIN_DESIRED_MAGNITUDE and every other message is suppressed below
-    MAX_INTERFERENCE_RATIO relative to it. Inactive receivers may see
-    anything.
+    `weights` holds one dict per transmitter, as `build_transmit_signals`
+    returns them. For every active (delivered-to) receiver the net
+    coefficient of each message is accumulated over the two incoming
+    links. The check passes iff the receiver's own message survives with
+    magnitude at least MIN_DESIRED_MAGNITUDE and every other message is
+    suppressed below MAX_INTERFERENCE_RATIO relative to it. Inactive
+    receivers may see anything.
     """
     if not r.has_gains:
         raise ValueError("realization has no gains attached")
     k = r.k
-    if k != s.k or plan.k != s.k:
+    if k != s.k or len(weights) != s.k:
         raise ValueError("plan, schedule and realization sizes disagree")
-    weights, direct_gain, cross_gain = plan.weights, r.direct_gain, r.cross_gain
+    direct_gain, cross_gain = r.direct_gain, r.cross_gain
     checks = []
     failures = []
     for i in sorted(s.delivered):
@@ -241,8 +231,7 @@ def verify_zero_forcing(
             ratio = interference / desired
         else:
             ratio = float("inf") if interference > 0 else 0.0
-        ok = desired >= MIN_DESIRED_MAGNITUDE and ratio <= MAX_INTERFERENCE_RATIO
-        checks.append(ReceiverCheck(i, desired, ratio, ok))
+        checks.append(ReceiverCheck(i, desired, ratio))
         if desired < MIN_DESIRED_MAGNITUDE:
             failures.append(
                 f"receiver {i}: desired coefficient {desired:.3e} below {MIN_DESIRED_MAGNITUDE:g}"

@@ -21,7 +21,6 @@ from lindof.network import Cluster, NetworkRealization
 from lindof.scheduler import (
     MAX_INTERFERENCE_RATIO,
     MIN_DESIRED_MAGNITUDE,
-    BeamformingPlan,
     ReceiverCheck,
     Schedule,
     ZeroForcingReport,
@@ -144,7 +143,7 @@ def feasible(cfg: CarrierConfig, r: NetworkRealization) -> bool:
     return True
 
 
-def build_transmit_signals(s: Schedule, r: NetworkRealization) -> BeamformingPlan:
+def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int, complex], ...]:
     """Turn decisions into transmit weights.
 
     Deliveries transmit at unit weight. A cancellation emission carries
@@ -176,11 +175,11 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> BeamformingPla
                 )
             w[t + 2] = -r.gain_direct(t + 1) / r.gain_cross(t)
         weights.append(w)
-    return BeamformingPlan(r.k, tuple(weights))
+    return tuple(weights)
 
 
 def verify_zero_forcing(
-    plan: BeamformingPlan,
+    plan: Sequence[dict[int, complex]],
     s: Schedule,
     r: NetworkRealization,
 ) -> ZeroForcingReport:
@@ -195,7 +194,7 @@ def verify_zero_forcing(
     """
     if not r.has_gains:
         raise ValueError("realization has no gains attached")
-    if r.k != s.k or plan.k != s.k:
+    if r.k != s.k or len(plan) != s.k:
         raise ValueError("plan, schedule and realization sizes disagree")
     checks = []
     failures = []
@@ -207,7 +206,7 @@ def verify_zero_forcing(
         for t, gain in incoming:
             if gain == 0:
                 continue
-            for m, w in plan.transmitter(t).items():
+            for m, w in plan[t - 1].items():
                 net[m] = net.get(m, 0j) + gain * w
         desired = abs(net.get(i, 0j))
         interference = max((abs(c) for m, c in net.items() if m != i), default=0.0)
@@ -215,8 +214,7 @@ def verify_zero_forcing(
             ratio = interference / desired
         else:
             ratio = float("inf") if interference > 0 else 0.0
-        ok = desired >= MIN_DESIRED_MAGNITUDE and ratio <= MAX_INTERFERENCE_RATIO
-        checks.append(ReceiverCheck(i, desired, ratio, ok))
+        checks.append(ReceiverCheck(i, desired, ratio))
         if desired < MIN_DESIRED_MAGNITUDE:
             failures.append(
                 f"receiver {i}: desired coefficient {desired:.3e} below {MIN_DESIRED_MAGNITUDE:g}"

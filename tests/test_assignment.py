@@ -1,4 +1,4 @@
-import warnings
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lindof.assignment import (
     MessageAssignment,
-    RuleOverlapWarning,
     assignment_label,
     build_assignment,
     format_assignment,
@@ -79,9 +78,13 @@ class TestBuildAssignment:
 
     @given(st.integers(3, 60), fractions_in_unit_interval())
     def test_rules_never_overlap_for_valid_f(self, k, f):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuleOverlapWarning)
-            build_assignment(k, f)
+        # every row either forward rule names is its own: the interior
+        # forward sets number exactly the two rules' row counts
+        a = build_assignment(k, f)
+        forward = sum(a.transmit_sets[i - 1] == {i, i + 1} for i in range(2, k))
+        stride_rows = max(0, math.floor(min(f * k - 2, k // 2 - 1)))
+        even_rows = max(0, math.ceil((f - Fraction(1, 2)) * k) - 1)
+        assert forward == stride_rows + even_rows
 
     def test_f0_interior_is_backward_pairs(self):
         a = build_assignment(9, 0)

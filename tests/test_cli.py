@@ -253,11 +253,31 @@ class TestVerifyCommand:
 
 class TestTraceCommand:
     def test_full_network_trace(self, capsys):
-        code, out, _ = run(capsys, "trace", "--k", "5", "--f", "3/5", "5;11111;1111")
+        code, out, err = run(capsys, "trace", "--k", "5", "--f", "3/5", "5;11111;1111")
         assert code == EXIT_OK
-        assert "delivered: 1 2 4 5" in out
-        assert "(5,3)" in out and "(1,2)" in out
-        assert "zero-forcing check PASS" in out
+        assert err == ""
+        assert out.splitlines() == [
+            "realization: 5;11111;1111",
+            "assignment:",
+            "1: 1,2",
+            "2: 1,2",
+            "3: 3,4",
+            "4: 3,4",
+            "5: 3,4",
+            "cluster 1..5",
+            "  decisions: (1,1) (1,2) (2,2) (4,3) (5,3) (5,4)",
+            "  delivered: 1 2 4 5",
+            "  tx 1: W1 x 1+0j",
+            "  tx 2: W1 x 0.9375-0.2181j, W2 x 1+0j",
+            "  tx 3: W4 x 1+0j, W5 x 1.11+0.1078j",
+            "  tx 4: W5 x 1+0j",
+            "  tx 5: (silent)",
+            "  rx 1: desired 1.290e-01, interference ratio 0.000e+00",
+            "  rx 2: desired 4.589e-01, interference ratio 0.000e+00",
+            "  rx 4: desired 1.022e+00, interference ratio 1.536e-16",
+            "  rx 5: desired 4.451e-01, interference ratio 0.000e+00",
+            "summary: delivered 4/5, zero-forcing check PASS",
+        ]
 
     def test_all_erased(self, capsys):
         code, out, _ = run(capsys, "trace", "--f", "3/5", "5;00000;0000")

@@ -91,6 +91,13 @@ class TestEstimate:
             estimate_pudof(5, 0.5, a, 10, 1, workers=workers)
 
     @pytest.mark.usefixtures("no_pool")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_negative_master_seed_rejected_before_pool(self, workers):
+        a = build_assignment(5, 0)
+        with pytest.raises(ValueError, match="master seed must be at least 0, got -1"):
+            estimate_pudof(5, 0.5, a, 10, -1, workers=workers)
+
+    @pytest.mark.usefixtures("no_pool")
     @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
     def test_bad_p_rejected_before_pool(self, p):
         a = build_assignment(5, 0)

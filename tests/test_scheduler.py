@@ -20,7 +20,6 @@ from lindof.network import (
 )
 from lindof.scheduler import (
     LINE_START,
-    BeamformingPlan,
     Schedule,
     build_transmit_signals,
     decision_pass,
@@ -213,28 +212,28 @@ class TestBeamforming:
 
     def test_k5_weights(self):
         r, s, plan = self._k5_setup()
-        assert plan.transmitter(1) == {1: 1 + 0j}
-        tx2 = plan.transmitter(2)
+        assert plan[0] == {1: 1 + 0j}
+        tx2 = plan[1]
         assert tx2[2] == 1 + 0j
         assert tx2[1] == -r.gain_cross(1) / r.gain_direct(2)
-        tx3 = plan.transmitter(3)
+        tx3 = plan[2]
         assert tx3[4] == 1 + 0j
         assert tx3[5] == -r.gain_direct(4) / r.gain_cross(3)
-        assert plan.transmitter(4) == {5: 1 + 0j}
-        assert plan.transmitter(5) == {}
+        assert plan[3] == {5: 1 + 0j}
+        assert plan[4] == {}
 
     def test_empty_schedule_all_silent(self):
         r = attach_generic_coefficients(parse_realization("3;000;00"), 1)
         s = schedule_network(r, build_assignment(3, 0))
         plan = build_transmit_signals(s, r)
-        assert all(not plan.transmitter(t) for t in range(1, 4))
+        assert plan == ({}, {}, {})
 
     def test_single_entry(self):
         r = attach_generic_coefficients(parse_realization("3;100;00"), 1)
         s = Schedule(3, frozenset({(1, 1)}), frozenset({1}))
         plan = build_transmit_signals(s, r)
-        assert plan.transmitter(1) == {1: 1 + 0j}
-        assert plan.transmitter(2) == {} and plan.transmitter(3) == {}
+        assert plan[0] == {1: 1 + 0j}
+        assert plan[1] == {} and plan[2] == {}
 
     def test_requires_gains(self):
         r = parse_realization("3;111;11")
@@ -280,9 +279,8 @@ class TestVerifyZeroForcing:
         r = attach_generic_coefficients(parse_realization("5;11111;1111"), 17)
         s = schedule_network(r, a)
         plan = build_transmit_signals(s, r)
-        weights = list(dict(w) for w in plan.weights)
-        weights[1][2] = 0j  # silence the delivery of message 2 at transmitter 2
-        broken = BeamformingPlan(plan.k, tuple(weights))
+        broken = tuple(dict(w) for w in plan)
+        broken[1][2] = 0j  # silence the delivery of message 2 at transmitter 2
         report = verify_zero_forcing(broken, s, r)
         assert not report.passed
         assert any("receiver 2" in f for f in report.failures)
@@ -319,9 +317,7 @@ class TestAgainstReference:
                     s = schedule_network(r, a)
                     plan = build_transmit_signals(s, r)
                     assert plan == reference.build_transmit_signals(s, r)
-                    bare = BeamformingPlan(
-                        k, tuple({m: w for m, w in ws.items() if w == 1} for ws in plan.weights)
-                    )
+                    bare = tuple({m: w for m, w in ws.items() if w == 1} for ws in plan)
                     for p in (plan, bare):
                         report = verify_zero_forcing(p, s, r)
                         assert report == reference.verify_zero_forcing(p, s, r)

@@ -221,6 +221,8 @@ def estimate_pudof(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if not 1 <= k <= MAX_K:  # before a pool is built, not in a worker
+        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
     if k != assignment.k:
         raise ValueError(f"assignment has k={assignment.k}, expected {k}")
     if workers < 1:

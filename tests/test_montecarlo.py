@@ -105,6 +105,14 @@ class TestEstimate:
         with pytest.raises(ValueError, match=match):
             estimate_pudof(5, p, a, 10, 1, workers=2)
 
+    @pytest.mark.usefixtures("no_pool")
+    def test_too_many_users_rejected_before_pool(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        k = MAX_K + 1
+        a = MessageAssignment(k, tuple(frozenset({i}) for i in range(1, k + 1)))
+        with pytest.raises(ValueError, match=f"need 1 to {MAX_K} users, got k={k}"):
+            estimate_pudof(k, 0.5, a, 10, 1, workers=2)
+
     def test_deterministic_and_worker_invariant(self):
         a = build_assignment(8, 0)
         one = estimate_pudof(8, 0.4, a, 400, 9, workers=1)

@@ -34,6 +34,16 @@ EXACT_P035 = {
     (8, Fraction(3, 5)): 4.830241402297653,
     (8, Fraction(0)): 4.883120651803907,
 }
+# Pinned with == at K = MAX_EXACT_K, where the packed counts are largest,
+# keyed by (f, p, deactivate_last). Frozen from an earlier DP that kept
+# every (erased links, delivered) count, so they also check the sums.
+EXACT_K200 = {
+    (Fraction(3, 5), 0.35, False): 122.13341160658437,
+    (Fraction(3, 5), 0.35, True): 122.13341160658437,
+    (Fraction(3, 5), 0.5, True): 103.57368829884895,
+    (Fraction(0), 0.35, True): 125.31634652181694,
+    (Fraction(0), 0.5, True): 114.0204081632653,
+}
 
 
 def brute_force_over_configs(r, a):
@@ -212,14 +222,14 @@ def greedy_dof(r, a):
 
 def per_pattern_expected_dof(k, p, a, count=greedy_dof):
     """Small reference: count each pattern alone (greedy by default, or
-    `optimal_zero_forcing_dof`) and sum like `exact_expected_dof`."""
-    counts = {}
-    for r in all_realizations(k):
-        key = (r.direct.count(False) + r.cross.count(False), count(r, a))
-        counts[key] = counts.get(key, 0) + 1
+    `optimal_zero_forcing_dof`), add the counts per number of erased links
+    and sum like `exact_expected_dof`."""
     links = 2 * k - 1
+    delivered = [0] * (links + 1)
+    for r in all_realizations(k):
+        delivered[r.direct.count(False) + r.cross.count(False)] += count(r, a)
     return math.fsum(
-        n * d * p**e * (1.0 - p) ** (links - e) for (e, d), n in sorted(counts.items())
+        n * p**e * (1.0 - p) ** (links - e) for e, n in enumerate(delivered)
     )
 
 
@@ -258,6 +268,13 @@ class TestExactExpectedDof:
         a = build_assignment(k, f)
         for deactivate in (False, True):
             assert exact_expected_dof(k, 0.35, a, deactivate_last=deactivate) == EXACT_P035[k, f]
+
+    @pytest.mark.parametrize("f, p, deactivate", list(EXACT_K200))
+    def test_frozen_values_at_size_bound(self, f, p, deactivate):
+        k = MAX_EXACT_K
+        a = build_assignment(k, f)
+        got = exact_expected_dof(k, p, a, deactivate_last=deactivate)
+        assert got == EXACT_K200[f, p, deactivate]
 
     def test_equals_optimum_sum_on_family(self):
         for k in (3, 5):

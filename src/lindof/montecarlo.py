@@ -232,6 +232,8 @@ def estimate_pudof(
     if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     width = 2 * k - 1
+    if draw is not None and trials * width > MAX_DRAW_BYTES:
+        raise ValueError(f"draw needs {trials * width} bytes, over the {MAX_DRAW_BYTES} allowed")
     if draw and len(draw) != trials * width:
         raise ValueError(f"draw holds {len(draw)} bytes, expected {trials * width}")
     if deactivate_last:

@@ -80,31 +80,6 @@ class NetworkRealization:
     def has_gains(self) -> bool:
         return self.direct_gain is not None and self.cross_gain is not None
 
-    def has_direct(self, i: int) -> bool:
-        """Did the transmitter-i -> receiver-i link survive (1-based)?"""
-        return self.direct[_position(i, self.k, "direct")]
-
-    def has_cross(self, j: int) -> bool:
-        """Did the transmitter-j -> receiver-(j+1) link survive (1-based)?"""
-        return self.cross[_position(j, self.k - 1, "cross")]
-
-    def gain_direct(self, i: int) -> complex:
-        if self.direct_gain is None:
-            raise ValueError("realization has no gains attached")
-        return self.direct_gain[_position(i, self.k, "direct")]
-
-    def gain_cross(self, j: int) -> complex:
-        if self.cross_gain is None:
-            raise ValueError("realization has no gains attached")
-        return self.cross_gain[_position(j, self.k - 1, "cross")]
-
-
-def _position(link: int, count: int, name: str) -> int:
-    """Tuple position of 1-based link `link`; IndexError unless 1 <= link <= count."""
-    if not 1 <= link <= count:
-        raise IndexError(f"{name} link {link} outside 1..{count}")
-    return link - 1
-
 
 def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
     """Draw one erasure pattern; each link dies independently with probability p.
@@ -199,7 +174,7 @@ def partition_into_clusters(r: NetworkRealization) -> list[Cluster]:
     clusters = []
     start = 1
     for j in range(1, r.k):
-        if not r.has_cross(j):
+        if not r.cross[j - 1]:
             clusters.append(Cluster(start, j))
             start = j + 1
     clusters.append(Cluster(start, r.k))

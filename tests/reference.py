@@ -101,18 +101,18 @@ class CarrierConfig:
 
 def _link_present(r: NetworkRealization, t: int, receiver: int) -> bool:
     if t == receiver:
-        return r.has_direct(t)
+        return r.direct[t - 1]
     if t == receiver - 1:
-        return r.has_cross(t)
+        return r.cross[t - 1]
     return False
 
 
 def _reach(r: NetworkRealization, t: int) -> frozenset[int]:
     """Receivers transmitter t can still touch."""
     reached = set()
-    if r.has_direct(t):
+    if r.direct[t - 1]:
         reached.add(t)
-    if t < r.k and r.has_cross(t):
+    if t < r.k and r.cross[t - 1]:
         reached.add(t + 1)
     return frozenset(reached)
 
@@ -163,17 +163,17 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int
         if (t + 1, t) in s.entries:
             w[t + 1] = 1 + 0j
         if (t - 1, t) in s.entries:
-            if not (r.has_cross(t - 1) and r.has_direct(t)):
+            if not (r.cross[t - 2] and r.direct[t - 1]):
                 raise RuntimeError(
                     f"transmitter {t}: cancelling message {t - 1} needs links that are erased"
                 )
-            w[t - 1] = -r.gain_cross(t - 1) / r.gain_direct(t)
+            w[t - 1] = -r.cross_gain[t - 2] / r.direct_gain[t - 1]
         if t + 2 <= r.k and (t + 2, t) in s.entries:
-            if not (r.has_direct(t + 1) and r.has_cross(t)):
+            if not (r.direct[t] and r.cross[t - 1]):
                 raise RuntimeError(
                     f"transmitter {t}: cancelling message {t + 2} needs links that are erased"
                 )
-            w[t + 2] = -r.gain_direct(t + 1) / r.gain_cross(t)
+            w[t + 2] = -r.direct_gain[t] / r.cross_gain[t - 1]
         weights.append(w)
     return tuple(weights)
 
@@ -200,9 +200,9 @@ def verify_zero_forcing(
     failures = []
     for i in sorted(s.delivered):
         net: dict[int, complex] = {}
-        incoming = [(i, r.gain_direct(i))]
+        incoming = [(i, r.direct_gain[i - 1])]
         if i >= 2:
-            incoming.append((i - 1, r.gain_cross(i - 1)))
+            incoming.append((i - 1, r.cross_gain[i - 2]))
         for t, gain in incoming:
             if gain == 0:
                 continue

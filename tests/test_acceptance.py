@@ -3,15 +3,16 @@
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 happen (they are also shown in captured output on failure).
 
-Criterion 1 note: the greedy scheduler provably cannot express schemes
-that deliver two messages through one transmitter with helpers nulling
-both leaked signals (e.g. all links present, T1={2,3}, T2={2,3},
+Criterion 1 note: the greedy scheduler as written does not express
+schemes that deliver two messages through one transmitter with helpers
+nulling both leaked signals (e.g. all links present, T1={2,3}, T2={2,3},
 T3={1,2}: the brute force delivers messages 2 and 3, the greedy only
 message 2; the weights exist and pass numeric verification). The f=0 and
 f=3/5 family clauses hold exhaustively, but the random-assignment
 clauses demand 0 mismatches against the full zero-forcing optimum, which
-such instances make unattainable. The test states the criterion as
-written and reports the counterexamples it finds.
+the greedy as written misses on such instances. ROADMAP item 1 gives a
+"dual send" rule that reaches them. The test states the criterion as written
+and reports the counterexamples it finds.
 """
 
 import math

@@ -113,6 +113,21 @@ class TestEstimate:
         with pytest.raises(ValueError, match=f"need 1 to {MAX_K} users, got k={k}"):
             estimate_pudof(k, 0.5, a, 10, 1, workers=2)
 
+    @pytest.mark.usefixtures("no_pool")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oversized_draw_rejected_before_drawing(self, monkeypatch, workers):
+        # A direct caller gets the bound SweepConfig puts on a shared draw.
+        def no_draw(k, p, trial_seed):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(montecarlo, "sample_realization", no_draw)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        a = build_assignment(5, 0)
+        trials = montecarlo.MAX_DRAW_BYTES // 9 + 1
+        match = f"draw needs {trials * 9} bytes, over the {montecarlo.MAX_DRAW_BYTES} allowed"
+        with pytest.raises(ValueError, match=match):
+            estimate_pudof(5, 0.5, a, trials, 1, workers=workers, draw=bytearray())
+
     def test_deterministic_and_worker_invariant(self):
         a = build_assignment(8, 0)
         one = estimate_pudof(8, 0.4, a, 400, 9, workers=1)

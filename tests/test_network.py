@@ -150,19 +150,6 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="^surviving cross link 2 has zero gain$"):
             NetworkRealization(4, (True,) * 4, (False, True, False), (1j,) * 4, (0j, 0j, 1j))
 
-    def test_accessors_reject_links_outside_the_line(self):
-        r = attach_generic_coefficients(parse_realization("3;111;11"), 1)
-        for accessor, count in (
-            ("has_direct", 3),
-            ("gain_direct", 3),
-            ("has_cross", 2),
-            ("gain_cross", 2),
-        ):
-            assert getattr(r, accessor)(1) and getattr(r, accessor)(count)
-            for link in (0, count + 1):
-                with pytest.raises(IndexError, match=f"link {link} outside 1..{count}"):
-                    getattr(r, accessor)(link)
-
 
 class TestClusters:
     def test_all_cross_present_single_cluster(self):
@@ -185,8 +172,8 @@ class TestClusters:
         assert covered == list(range(1, r.k + 1))
         assert len(clusters) == 1 + sum(not x for x in r.cross)
         for c in clusters:
-            assert all(r.has_cross(j) for j in range(c.start, c.end))
-            assert c.end == r.k or not r.has_cross(c.end)
+            assert all(r.cross[c.start - 1 : c.end - 1])
+            assert c.end == r.k or not r.cross[c.end - 1]
 
 
 class TestSerialization:

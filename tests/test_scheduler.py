@@ -215,10 +215,10 @@ class TestBeamforming:
         assert plan[0] == {1: 1 + 0j}
         tx2 = plan[1]
         assert tx2[2] == 1 + 0j
-        assert tx2[1] == -r.gain_cross(1) / r.gain_direct(2)
+        assert tx2[1] == -r.cross_gain[0] / r.direct_gain[1]
         tx3 = plan[2]
         assert tx3[4] == 1 + 0j
-        assert tx3[5] == -r.gain_direct(4) / r.gain_cross(3)
+        assert tx3[5] == -r.direct_gain[3] / r.cross_gain[2]
         assert plan[3] == {5: 1 + 0j}
         assert plan[4] == {}
 

@@ -52,6 +52,9 @@ EXIT_IO = 3
 # Most random assignments `verify` draws per network size; exhaustive mode
 # holds them all while it checks every pattern against each.
 MAX_RANDOM_ASSIGNMENTS = 10_000
+# Most instances `verify --mode random` checks; it holds every mismatch
+# found until it prints them after the count.
+MAX_VERIFY_TRIALS = 10_000_000
 
 
 class Parser(argparse.ArgumentParser):
@@ -161,6 +164,8 @@ def cmd_verify(args) -> int:
     if not 3 <= args.k_max <= ORACLE_K_LIMIT:
         raise ValueError(f"--k-max must lie in 3..{ORACLE_K_LIMIT}, got {args.k_max}")
     check_at_least("--trials", args.trials, 1)
+    if args.trials > MAX_VERIFY_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_VERIFY_TRIALS}, got {args.trials}")
     check_at_least("--random-assignments", args.random_assignments, 0)
     if args.random_assignments > MAX_RANDOM_ASSIGNMENTS:
         raise ValueError(
@@ -194,6 +199,8 @@ def cmd_trace(args) -> int:
         r = parse_realization(args.realization)
         if args.k is not None and args.k != r.k:
             raise ValueError(f"--k {args.k} disagrees with realization string (k={r.k})")
+        if args.p is not None:
+            raise ValueError(f"--p {args.p} cannot be used with a realization string")
     else:
         if args.k is None:
             raise ValueError("either a realization string or --k with --p is required")

@@ -6,24 +6,24 @@ kept as exact integers, so results are bit-identical no matter how the
 trial range is split across workers, and probability-zero/one endpoints
 come out exact.
 
-A sweep with shared realizations draws each grid point's trials once per
-network size and counts every assignment of that size on them. The draw
-is held packed, one byte per link, (2K-1) bytes per trial, until the
-point is done.
+A sweep computes each grid point whole, every assignment in order, in
+this process or in one process pool per sweep. With shared realizations
+a point's trials are drawn once per network size, held as the list of
+realizations drawn, and counted by every assignment of that size; the
+list is dropped when the point is done.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .assignment import (
     MessageAssignment,
@@ -67,8 +67,16 @@ class AssignmentSpec:
 P_DECIMALS = 10
 # Largest p grid a sweep accepts: a step of 1e-6 over [0, 1].
 MAX_P_POINTS = 1_000_001
-# Most bytes of packed draws a shared sweep holds for one grid point.
+# Most bytes the shared draws of one grid point may hold, each trial
+# charged `held_bytes_per_trial` of its network size.
 MAX_DRAW_BYTES = 256 * 2**20
+
+
+def held_bytes_per_trial(k: int) -> int:
+    """Bytes charged for one held trial of size k: its NetworkRealization,
+    the two link tuples (8 bytes a link) and its list slot. tracemalloc
+    measured 8 * (2k - 1) + 201 at k = 3, 4, 5 and 100."""
+    return 8 * (2 * k - 1) + 256
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,10 @@ class SweepConfig:
     With `share_realizations` all assignments at a grid point reuse the
     same trial seeds (common random numbers), sharpening comparisons
     between them. The trials are then drawn once per point and network
-    size and held packed, (2K-1) bytes per trial and MAX_DRAW_BYTES at
+    size and held, `held_bytes_per_trial(K)` each and MAX_DRAW_BYTES at
     most a point, while every assignment of that size counts them.
+    `workers` spreads the grid points over that many processes, capped
+    at os.cpu_count() and the number of points.
     """
 
     assignments: tuple[AssignmentSpec, ...]
@@ -117,7 +127,7 @@ class SweepConfig:
             seen.add(spec)
         if (k := max(spec.k for spec in self.assignments)) > MAX_K:
             raise ValueError(f"k must be at most {MAX_K}, got {k}")
-        held = self.trials * sum({2 * spec.k - 1 for spec in self.assignments})
+        held = self.trials * sum(held_bytes_per_trial(k) for k in {spec.k for spec in self.assignments})
         if self.share_realizations and held > MAX_DRAW_BYTES:
             raise ValueError(f"shared draws need {held} bytes a point, over the {MAX_DRAW_BYTES} allowed")
         if self.workers < 1:
@@ -156,35 +166,14 @@ def _dof_sums(realizations, assignment: MessageAssignment) -> tuple[int, int]:
     return total, total_sq
 
 
-def _packing(realizations, packed: bytearray):
-    """Pass realizations through, appending each one's links to `packed`:
-    one byte per link, direct links then cross links."""
-    for r in realizations:
-        packed.extend(r.direct)
-        packed.extend(r.cross)
-        yield r
+def _drawn(k, p, master_seed, t_first, t_last):
+    """Trials t_first..t_last-1, each drawn from its own derived seed."""
+    return (sample_realization(k, p, derive_seed(master_seed, t)) for t in range(t_first, t_last))
 
 
-def _unpacked(k: int, packed):
-    """The realizations `_packing` wrote into `packed`, in order."""
-    for row in np.frombuffer(packed, dtype=bool).reshape(-1, 2 * k - 1):
-        links = row.tolist()
-        yield NetworkRealization(k, tuple(links[:k]), tuple(links[k:]))
-
-
-def _block_sums(k, p, assignment, master_seed, t_first, t_last, packed):
-    """Delivered-count sums over trials t_first..t_last-1, and the packed
-    draw. With `packed` None the trials are drawn and counted; an empty
-    bytearray is also filled with the drawn links; a filled one is
-    counted without drawing again, and None is returned in its place."""
-    if packed:
-        return _dof_sums(_unpacked(k, packed), assignment), None
-    realizations = (
-        sample_realization(k, p, derive_seed(master_seed, t)) for t in range(t_first, t_last)
-    )
-    if packed is not None:
-        realizations = _packing(realizations, packed)
-    return _dof_sums(realizations, assignment), packed
+def _block_sums(k, p, assignment, master_seed, t_first, t_last):
+    """Delivered-count sums over trials t_first..t_last-1."""
+    return _dof_sums(_drawn(k, p, master_seed, t_first, t_last), assignment)
 
 
 def _block_sums_star(args):
@@ -200,7 +189,7 @@ def estimate_pudof(
     deactivate_last: bool = True,
     workers: int = 1,
     *,
-    draw: bytearray | None = None,
+    draw: list[NetworkRealization] | None = None,
 ) -> tuple[float, float]:
     """Sample mean and standard error of the delivered fraction.
 
@@ -212,12 +201,12 @@ def estimate_pudof(
     trials are split into blocks for the pool that runs.
 
     `draw`, which `sweep` passes under shared realizations, carries the
-    trials of one grid point at one network size from call to call,
-    packed one byte per link, (2k-1) bytes per trial. An empty bytearray
-    is filled with the trials this call draws; a filled one must hold
-    the trials of this (k, p, trials, master_seed), and they are counted
-    without drawing them again. Either way the result is the one drawn
-    trials give.
+    trials of one grid point at one network size from call to call, as
+    the list of realizations drawn, and is drawn and counted in this
+    process whatever `workers` says. An empty list is filled with the
+    trials this call draws; a filled one must hold the trials of this
+    (k, p, trials, master_seed), and they are counted without drawing
+    them again. Either way the result is the one drawn trials give.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -231,32 +220,27 @@ def estimate_pudof(
         raise ValueError(f"master seed must be at least 0, got {master_seed}")
     if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
-    width = 2 * k - 1
-    if draw is not None and trials * width > MAX_DRAW_BYTES:
-        raise ValueError(f"draw needs {trials * width} bytes, over the {MAX_DRAW_BYTES} allowed")
-    if draw and len(draw) != trials * width:
-        raise ValueError(f"draw holds {len(draw)} bytes, expected {trials * width}")
+    held = trials * held_bytes_per_trial(k)
+    if draw is not None and held > MAX_DRAW_BYTES:
+        raise ValueError(f"draw needs {held} bytes, over the {MAX_DRAW_BYTES} allowed")
+    if draw and len(draw) != trials:
+        raise ValueError(f"draw holds {len(draw)} trials, expected {trials}")
     if deactivate_last:
         assignment = remove_transmitter(assignment, k)
-    pool_size = min(workers, os.cpu_count() or 1)
-    blocks = _blocks(trials, pool_size)
-    if draw is None:
-        parts = [None] * len(blocks)
-    elif draw:
-        parts = [draw[t0 * width : t1 * width] for t0, t1 in blocks]
+    if draw is not None:
+        if not draw:
+            draw.extend(_drawn(k, p, master_seed, 0, trials))
+        total, total_sq = _dof_sums(draw, assignment)
     else:
-        parts = [bytearray() for _ in blocks]
-    jobs = [(k, p, assignment, master_seed, t0, t1, part) for (t0, t1), part in zip(blocks, parts)]
-    if pool_size == 1 or len(jobs) == 1:
-        results = [_block_sums(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_block_sums_star, jobs))
-    if draw is not None and not draw:
-        for _, packed in results:
-            draw.extend(packed)
-    total = sum(s for (s, _), _ in results)
-    total_sq = sum(q for (_, q), _ in results)
+        pool_size = min(workers, os.cpu_count() or 1)
+        jobs = [(k, p, assignment, master_seed, t0, t1) for t0, t1 in _blocks(trials, pool_size)]
+        if pool_size == 1 or len(jobs) == 1:
+            results = [_block_sums(*job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                results = list(pool.map(_block_sums_star, jobs))
+        total = sum(s for s, _ in results)
+        total_sq = sum(q for _, q in results)
     mean = total / (trials * k)
     if trials > 1:
         dof_var = (total_sq - total * total / trials) / (trials - 1)
@@ -271,6 +255,37 @@ def _blocks(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
 
 
+def _point_rows(cfg: SweepConfig, specs, point):
+    """Yield the rows of grid point `point` = (index, p), one assignment
+    at a time, in order. Under shared realizations the first assignment
+    of each network size draws the point's trials and the others count
+    the same list."""
+    pi, p = point
+    draws: dict[int, list[NetworkRealization]] = {}
+    for ai, (spec, assignment) in enumerate(specs):
+        if cfg.share_realizations:
+            seed = derive_seed(cfg.master_seed, pi)
+            draw = draws.setdefault(spec.k, [])
+        else:
+            seed = derive_seed(cfg.master_seed, pi, ai)
+            draw = None
+        mean, stderr = estimate_pudof(
+            spec.k,
+            p,
+            assignment,
+            cfg.trials,
+            seed,
+            deactivate_last=cfg.deactivate_last,
+            workers=1,
+            draw=draw,
+        )
+        yield SweepRow(p, spec.label, spec.k, spec.f, cfg.trials, seed, mean, stderr)
+
+
+def _point_list(cfg: SweepConfig, specs, point) -> list[SweepRow]:
+    return list(_point_rows(cfg, specs, point))
+
+
 def sweep(
     cfg: SweepConfig,
     progress: Callable[[SweepRow], None] | None = None,
@@ -279,35 +294,37 @@ def sweep(
 
     Point seeds derive from (master seed, grid index, assignment index),
     or from (master seed, grid index) alone under shared realizations.
-    Then the first assignment of each network size at a point draws its
-    trials, and the others of that size count the same trials from its
-    packed draw, which is dropped before the next point.
+    Each grid point is computed whole, every assignment in order, so a
+    shared draw never leaves the process that drew it. With one worker,
+    or one point, the points run here and `progress` sees each row as
+    it is done. Otherwise one process pool of min(workers,
+    os.cpu_count(), points) runs them, `progress` sees a point's rows
+    when it is done, and rows keep grid order; if anything raises, the
+    points not yet started are cancelled.
     """
     specs = [(spec, spec.build()) for spec in cfg.assignments]
+    grid = cfg.p_grid()
+    size = min(cfg.workers, os.cpu_count() or 1, len(grid))
     rows = []
-    for pi, p in enumerate(cfg.p_grid()):
-        draws: dict[int, bytearray] = {}
-        for ai, (spec, assignment) in enumerate(specs):
-            if cfg.share_realizations:
-                seed = derive_seed(cfg.master_seed, pi)
-                draw = draws.setdefault(spec.k, bytearray())
-            else:
-                seed = derive_seed(cfg.master_seed, pi, ai)
-                draw = None
-            mean, stderr = estimate_pudof(
-                spec.k,
-                p,
-                assignment,
-                cfg.trials,
-                seed,
-                deactivate_last=cfg.deactivate_last,
-                workers=cfg.workers,
-                draw=draw,
+    with contextlib.ExitStack() as stack:
+        if size == 1:
+            per_point = (_point_rows(cfg, specs, point) for point in enumerate(grid))
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=size))
+            # Runs before the pool's own exit, which would otherwise
+            # wait for every queued point.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # At most 64 chunks a worker, so a long grid does not queue
+            # a future per point before any point is done.
+            chunk = math.ceil(len(grid) / (64 * size))
+            per_point = pool.map(
+                functools.partial(_point_list, cfg, specs), enumerate(grid), chunksize=chunk
             )
-            row = SweepRow(p, spec.label, spec.k, spec.f, cfg.trials, seed, mean, stderr)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+        for point_rows in per_point:
+            for row in point_rows:
+                rows.append(row)
+                if progress is not None:
+                    progress(row)
     return tuple(rows)
 
 

@@ -9,6 +9,7 @@ from lindof.cli import (
     EXIT_OK,
     EXIT_USAGE,
     MAX_RANDOM_ASSIGNMENTS,
+    MAX_VERIFY_TRIALS,
     main,
 )
 from lindof.montecarlo import AssignmentSpec, SweepConfig, read_sweep_csv
@@ -49,11 +50,16 @@ class TestSweepCommand:
         assert run(capsys, *args, "--out", str(b))[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
-        base = [
-            "sweep", "--k", "6", "--f", "1/3", "--p-start", "0.3", "--p-end", "0.3",
-            "--trials", "64", "--seed", "5", "--quiet",
-        ]
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("--f", "1/3", "--p-start", "0.3", "--p-end", "0.3"),
+            ("--f", "1/3", "--f", "0", "--p-step", "0.25", "--share-realizations"),
+        ],
+        ids=["one-point", "shared-two-members"],
+    )
+    def test_worker_count_does_not_change_bytes(self, tmp_path, capsys, grid):
+        base = ["sweep", "--k", "6", *grid, "--trials", "64", "--seed", "5", "--quiet"]
         a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
         assert run(capsys, *base, "--workers", "1", "--out", str(a))[0] == EXIT_OK
         assert run(capsys, *base, "--workers", "2", "--out", str(b))[0] == EXIT_OK
@@ -241,6 +247,21 @@ class TestVerifyCommand:
         )
         assert out == ""
 
+    def test_trials_bounded(self, capsys, monkeypatch):
+        # Rejected before any instance is drawn.
+        def refuse(*args):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr("lindof.cli.sample_realization", refuse)
+        code, out, err = run(
+            capsys, "verify", "--mode", "random", "--trials", str(MAX_VERIFY_TRIALS + 1),
+        )
+        assert code == EXIT_USAGE
+        assert err == (
+            f"error: --trials must be at most {MAX_VERIFY_TRIALS}, got {MAX_VERIFY_TRIALS + 1}\n"
+        )
+        assert out == ""
+
     @pytest.mark.parametrize(
         "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--random-assignments", "-1")]
     )
@@ -292,6 +313,12 @@ class TestTraceCommand:
     def test_k_conflict_rejected(self, capsys):
         code, _, err = run(capsys, "trace", "--k", "4", "--f", "0", "5;11111;1111")
         assert code == EXIT_USAGE
+
+    def test_p_with_realization_rejected(self, capsys):
+        code, out, err = run(capsys, "trace", "--p", "0.3", "--f", "0", "5;11111;1111")
+        assert code == EXIT_USAGE
+        assert err == "error: --p 0.3 cannot be used with a realization string\n"
+        assert out == ""
 
     def test_schedule_needing_erased_links_is_mismatch(self, capsys, monkeypatch):
         def refuse(s, r):

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from lindof.montecarlo import (
     SweepConfig,
     best_assignment_table,
     estimate_pudof,
+    held_bytes_per_trial,
     read_sweep_csv,
     sweep,
     write_sweep_csv,
@@ -22,6 +24,60 @@ from lindof.montecarlo import (
 from lindof.network import MAX_K, derive_seed, sample_realization
 from lindof.oracle import exact_expected_dof
 from lindof.scheduler import decision_pass
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand-in for ProcessPoolExecutor that starts no process. As with
+    the real one, `map` queues every chunk at once, a cancelling
+    shutdown drops the queued ones, and leaving the `with` block runs
+    whatever is still queued. The log holds each pool's size, each map's
+    chunk count and the grid index of every point run."""
+    log = SimpleNamespace(sizes=[], chunks=[], started=[])
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            log.sizes.append(max_workers)
+            self.queued = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.queued = [(fn, items[i : i + chunksize]) for i in range(0, len(items), chunksize)]
+            log.chunks.append(len(self.queued))
+
+            def results():
+                while self.queued:
+                    yield from self._run_next()
+
+            return results()
+
+        def _run_next(self):
+            fn, chunk = self.queued.pop(0)
+            log.started.extend(pi for pi, _ in chunk)
+            return [fn(item) for item in chunk]
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            if cancel_futures:
+                self.queued.clear()
+            while self.queued:
+                self._run_next()
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    return log
 
 
 class TestEstimate:
@@ -73,15 +129,26 @@ class TestEstimate:
 
     def test_draw_of_another_size_rejected(self):
         a = build_assignment(5, 0)
-        with pytest.raises(ValueError, match="draw holds 9 bytes, expected 90"):
-            estimate_pudof(5, 0.5, a, 10, 1, draw=bytearray(9))
+        draw = [sample_realization(5, 0.5, derive_seed(1, t)) for t in range(9)]
+        with pytest.raises(ValueError, match="draw holds 9 trials, expected 10"):
+            estimate_pudof(5, 0.5, a, 10, 1, draw=draw)
 
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError("a process pool was built")
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    @pytest.mark.parametrize("k", [3, 5, 100])
+    def test_draw_charge_covers_held_bytes(self, k):
+        # MAX_DRAW_BYTES bounds what a held draw really takes
+        a = build_assignment(k, 0)
+        estimate_pudof(k, 0.5, a, 10, 1, draw=[])  # warm any first-call allocation
+        trials = 500
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            draw = []
+            estimate_pudof(k, 0.5, a, trials, 1, draw=draw)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(draw) == trials
+        assert 0 < held <= trials * held_bytes_per_trial(k)
 
     @pytest.mark.usefixtures("no_pool")
     @pytest.mark.parametrize("workers", [0, -3])
@@ -123,10 +190,11 @@ class TestEstimate:
         monkeypatch.setattr(montecarlo, "sample_realization", no_draw)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         a = build_assignment(5, 0)
-        trials = montecarlo.MAX_DRAW_BYTES // 9 + 1
-        match = f"draw needs {trials * 9} bytes, over the {montecarlo.MAX_DRAW_BYTES} allowed"
+        charge = held_bytes_per_trial(5)
+        trials = MAX_DRAW_BYTES // charge + 1
+        match = f"draw needs {trials * charge} bytes, over the {MAX_DRAW_BYTES} allowed"
         with pytest.raises(ValueError, match=match):
-            estimate_pudof(5, 0.5, a, trials, 1, workers=workers, draw=bytearray())
+            estimate_pudof(5, 0.5, a, trials, 1, workers=workers, draw=[])
 
     def test_deterministic_and_worker_invariant(self):
         a = build_assignment(8, 0)
@@ -289,6 +357,35 @@ class TestSweep:
         sweep(cfg)
         assert len(calls) == cfg.p_count() * cfg.trials * draws_per_point
 
+    def test_one_pool_per_sweep(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        for share in (False, True):
+            kw = dict(assignments=self.MIXED_SIZES, p_step=0.25, trials=6, share_realizations=share)
+            assert sweep(self._cfg(workers=100, **kw)) == sweep(self._cfg(workers=1, **kw))
+        assert serial_pool.sizes == [3, 3]
+        # no more workers than points
+        sweep(self._cfg(p_step=1.0, workers=100))
+        assert serial_pool.sizes == [3, 3, 2]
+        # a long grid is queued in at most 64 chunks a worker
+        sweep(self._cfg(p_step=0.001, trials=1, workers=2))
+        assert serial_pool.sizes[-1] == 2 and serial_pool.chunks[-1] <= 2 * 64
+
+    @pytest.mark.usefixtures("no_pool")
+    def test_no_pool_for_one_worker_or_one_point(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        assert len(sweep(self._cfg(p_step=0.5, workers=1))) == 3
+        assert len(sweep(self._cfg(p_start=0.3, p_end=0.3, workers=3))) == 1
+
+    def test_failing_progress_cancels_points_not_started(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+
+        def progress(row):
+            raise RuntimeError("progress failed")
+
+        with pytest.raises(RuntimeError, match="progress failed"):
+            sweep(self._cfg(p_step=0.2, workers=2), progress=progress)
+        assert serial_pool.sizes == [2] and serial_pool.started == [0]
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             self._cfg(p_start=0.5, p_end=0.2)
@@ -317,18 +414,19 @@ class TestSweep:
         self._cfg(assignments=(AssignmentSpec(5, Fraction(0)), AssignmentSpec(6, Fraction(0))))
 
     def test_shared_draw_bounded(self):
-        # Only a shared sweep holds its draw: 9 + 11 bytes a trial here,
-        # the two K=5 members counting one draw between them.
+        # Only a shared sweep holds its draw: 328 + 344 bytes a trial
+        # here, the two K=5 members counting one draw between them.
         specs = (
             AssignmentSpec(5, Fraction(3, 5)), AssignmentSpec(5, Fraction(0)),
             AssignmentSpec(6, Fraction(0)),
         )
-        most = MAX_DRAW_BYTES // 20
+        assert held_bytes_per_trial(5) + held_bytes_per_trial(6) == 672
+        most = MAX_DRAW_BYTES // 672
         self._cfg(assignments=specs, trials=most, share_realizations=True)
         self._cfg(assignments=specs, trials=10**12)
-        with pytest.raises(ValueError, match=f"need {20 * (most + 1)} bytes a point"):
+        with pytest.raises(ValueError, match=f"need {672 * (most + 1)} bytes a point"):
             self._cfg(assignments=specs, trials=most + 1, share_realizations=True)
-        with pytest.raises(ValueError, match="need 20000000000000 bytes a point"):
+        with pytest.raises(ValueError, match="need 672000000000000 bytes a point"):
             self._cfg(assignments=specs, trials=10**12, share_realizations=True)
 
 

@@ -77,6 +77,19 @@ def test_reproduce_results_writes_sweep_manifest_and_table(tmp_path):
     assert manifest["assignments"].split() == FAMILY_LABELS
     # the mixed-K family is replayed by this script, not by `lindof sweep`
     assert lines[0] == "command=reproduce_results"
+    # a pool of two workers writes the same sweep and table
+    pooled = tmp_path / "pooled"
+    proc = run_script(
+        "reproduce_results.py", "--trials", "2", "--p-step", "0.5", "--workers", "2",
+        "--out-dir", str(pooled),
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("pudof_sweep.csv", "winners.csv"):
+        assert (pooled / name).read_bytes() == (out_dir / name).read_bytes()
+    pooled_lines = (pooled / "pudof_sweep.csv.manifest").read_text().splitlines()
+    assert [line for line in pooled_lines if not line.startswith(("workers=", "out="))] == [
+        line for line in lines if not line.startswith(("workers=", "out="))
+    ]
 
 
 @pytest.mark.parametrize(

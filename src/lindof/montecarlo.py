@@ -7,9 +7,10 @@ trial range is split across workers, and probability-zero/one endpoints
 come out exact.
 
 A sweep computes each grid point whole, every assignment in order, in
-this process or in one process pool per sweep. With shared realizations
-a point's trials are drawn once per network size, held as the list of
-realizations drawn, and counted by every assignment of that size; the
+this process or in one process pool per sweep; an estimate's trial
+blocks run the same way. With shared realizations the sweep draws a
+point's trials once per network size, holds them as the list of
+realizations drawn, and every assignment of that size counts them; the
 list is dropped when the point is done.
 """
 
@@ -23,7 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .assignment import (
     MessageAssignment,
@@ -166,18 +167,29 @@ def _dof_sums(realizations, assignment: MessageAssignment) -> tuple[int, int]:
     return total, total_sq
 
 
-def _drawn(k, p, master_seed, t_first, t_last):
-    """Trials t_first..t_last-1, each drawn from its own derived seed."""
-    return (sample_realization(k, p, derive_seed(master_seed, t)) for t in range(t_first, t_last))
+def _drawn(k, p, master_seed, trials: range):
+    """The given trials, each drawn from its own derived seed."""
+    return (sample_realization(k, p, derive_seed(master_seed, t)) for t in trials)
 
 
-def _block_sums(k, p, assignment, master_seed, t_first, t_last):
-    """Delivered-count sums over trials t_first..t_last-1."""
-    return _dof_sums(_drawn(k, p, master_seed, t_first, t_last), assignment)
+def _block_sums(k, p, assignment, master_seed, trials: range):
+    """Delivered-count sums over the given trials."""
+    return _dof_sums(_drawn(k, p, master_seed, trials), assignment)
 
 
-def _block_sums_star(args):
-    return _block_sums(*args)
+def _in_order(fn, jobs, size: int, chunksize: int = 1):
+    """Yield fn(job) for every job, in order: here when `size` is 1,
+    else from one process pool of `size` workers. If the consumer raises
+    or stops, the jobs not yet started are cancelled."""
+    if size == 1:
+        yield from map(fn, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        try:
+            yield from pool.map(fn, jobs, chunksize=chunksize)
+        finally:
+            # before the pool's own exit, which would wait for every queued job
+            pool.shutdown(cancel_futures=True)
 
 
 def estimate_pudof(
@@ -189,7 +201,7 @@ def estimate_pudof(
     deactivate_last: bool = True,
     workers: int = 1,
     *,
-    draw: list[NetworkRealization] | None = None,
+    draw: Sequence[NetworkRealization] | None = None,
 ) -> tuple[float, float]:
     """Sample mean and standard error of the delivered fraction.
 
@@ -197,16 +209,14 @@ def estimate_pudof(
     `deactivate_last` silences the last transmitter (dropped from every
     transmit set) so the measured value survives concatenating copies of
     the network. Integer accumulation makes the result independent of
-    `workers`; the process pool never grows past os.cpu_count(), and the
-    trials are split into blocks for the pool that runs.
+    `workers`. The trials are split into blocks, run here or by one
+    process pool of min(workers, os.cpu_count(), blocks); if a block
+    raises, the blocks not yet started are cancelled.
 
-    `draw`, which `sweep` passes under shared realizations, carries the
-    trials of one grid point at one network size from call to call, as
-    the list of realizations drawn, and is drawn and counted in this
-    process whatever `workers` says. An empty list is filled with the
-    trials this call draws; a filled one must hold the trials of this
-    (k, p, trials, master_seed), and they are counted without drawing
-    them again. Either way the result is the one drawn trials give.
+    `draw`, which `sweep` passes under shared realizations, holds the
+    trials of this (k, p, trials, master_seed) already drawn. They are
+    counted here, whatever `workers` says, and only read: the result is
+    the one drawing them gives.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -220,25 +230,18 @@ def estimate_pudof(
         raise ValueError(f"master seed must be at least 0, got {master_seed}")
     if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
-    held = trials * held_bytes_per_trial(k)
-    if draw is not None and held > MAX_DRAW_BYTES:
-        raise ValueError(f"draw needs {held} bytes, over the {MAX_DRAW_BYTES} allowed")
-    if draw and len(draw) != trials:
+    if draw is not None and len(draw) != trials:
         raise ValueError(f"draw holds {len(draw)} trials, expected {trials}")
     if deactivate_last:
         assignment = remove_transmitter(assignment, k)
     if draw is not None:
-        if not draw:
-            draw.extend(_drawn(k, p, master_seed, 0, trials))
         total, total_sq = _dof_sums(draw, assignment)
     else:
-        pool_size = min(workers, os.cpu_count() or 1)
-        jobs = [(k, p, assignment, master_seed, t0, t1) for t0, t1 in _blocks(trials, pool_size)]
-        if pool_size == 1 or len(jobs) == 1:
-            results = [_block_sums(*job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                results = list(pool.map(_block_sums_star, jobs))
+        size = min(workers, os.cpu_count() or 1)
+        chunk = math.ceil(trials / (size * 4))
+        blocks = [range(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
+        sums = functools.partial(_block_sums, k, p, assignment, master_seed)
+        results = list(_in_order(sums, blocks, min(size, len(blocks))))
         total = sum(s for s, _ in results)
         total_sq = sum(q for _, q in results)
     mean = total / (trials * k)
@@ -250,22 +253,19 @@ def estimate_pudof(
     return mean, stderr
 
 
-def _blocks(trials: int, workers: int) -> list[tuple[int, int]]:
-    chunk = math.ceil(trials / (workers * 4))
-    return [(t0, min(t0 + chunk, trials)) for t0 in range(0, trials, chunk)]
-
-
 def _point_rows(cfg: SweepConfig, specs, point):
     """Yield the rows of grid point `point` = (index, p), one assignment
-    at a time, in order. Under shared realizations the first assignment
-    of each network size draws the point's trials and the others count
-    the same list."""
+    at a time, in order. Under shared realizations the point's trials
+    are drawn the first time a member of a network size needs them, and
+    every member of that size counts the same list."""
     pi, p = point
     draws: dict[int, list[NetworkRealization]] = {}
     for ai, (spec, assignment) in enumerate(specs):
         if cfg.share_realizations:
             seed = derive_seed(cfg.master_seed, pi)
-            draw = draws.setdefault(spec.k, [])
+            if spec.k not in draws:
+                draws[spec.k] = list(_drawn(spec.k, p, seed, range(cfg.trials)))
+            draw = draws[spec.k]
         else:
             seed = derive_seed(cfg.master_seed, pi, ai)
             draw = None
@@ -276,7 +276,6 @@ def _point_rows(cfg: SweepConfig, specs, point):
             cfg.trials,
             seed,
             deactivate_last=cfg.deactivate_last,
-            workers=1,
             draw=draw,
         )
         yield SweepRow(p, spec.label, spec.k, spec.f, cfg.trials, seed, mean, stderr)
@@ -293,11 +292,12 @@ def sweep(
     """Estimate every grid point for every assignment, reproducibly.
 
     Point seeds derive from (master seed, grid index, assignment index),
-    or from (master seed, grid index) alone under shared realizations.
-    Each grid point is computed whole, every assignment in order, so a
-    shared draw never leaves the process that drew it. With one worker,
-    or one point, the points run here and `progress` sees each row as
-    it is done. Otherwise one process pool of min(workers,
+    or from (master seed, grid index) alone under shared realizations,
+    where the sweep holds each point's draw of a network size while the
+    point runs. Each grid point is computed whole, every assignment in
+    order, so a shared draw never leaves the process that drew it. With
+    one worker, or one point, the points run here and `progress` sees
+    each row as it is done. Otherwise one process pool of min(workers,
     os.cpu_count(), points) runs them, `progress` sees a point's rows
     when it is done, and rows keep grid order; if anything raises, the
     points not yet started are cancelled.
@@ -305,26 +305,17 @@ def sweep(
     specs = [(spec, spec.build()) for spec in cfg.assignments]
     grid = cfg.p_grid()
     size = min(cfg.workers, os.cpu_count() or 1, len(grid))
+    # A generator of rows here; a picklable list from a worker. At most
+    # 64 chunks a worker, so a long grid does not queue a future per
+    # point before any point is done.
+    point = functools.partial(_point_rows if size == 1 else _point_list, cfg, specs)
+    chunk = math.ceil(len(grid) / (64 * size))
     rows = []
-    with contextlib.ExitStack() as stack:
-        if size == 1:
-            per_point = (_point_rows(cfg, specs, point) for point in enumerate(grid))
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=size))
-            # Runs before the pool's own exit, which would otherwise
-            # wait for every queued point.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # At most 64 chunks a worker, so a long grid does not queue
-            # a future per point before any point is done.
-            chunk = math.ceil(len(grid) / (64 * size))
-            per_point = pool.map(
-                functools.partial(_point_list, cfg, specs), enumerate(grid), chunksize=chunk
-            )
-        for point_rows in per_point:
-            for row in point_rows:
-                rows.append(row)
-                if progress is not None:
-                    progress(row)
+    for point_rows in _in_order(point, enumerate(grid), size, chunk):
+        for row in point_rows:
+            rows.append(row)
+            if progress is not None:
+                progress(row)
     return tuple(rows)
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import re
 import tracemalloc
@@ -40,7 +39,7 @@ def serial_pool(monkeypatch):
     the real one, `map` queues every chunk at once, a cancelling
     shutdown drops the queued ones, and leaving the `with` block runs
     whatever is still queued. The log holds each pool's size, each map's
-    chunk count and the grid index of every point run."""
+    chunk count and every job started, in order."""
     log = SimpleNamespace(sizes=[], chunks=[], started=[])
 
     class SerialPool:
@@ -67,7 +66,7 @@ def serial_pool(monkeypatch):
 
         def _run_next(self):
             fn, chunk = self.queued.pop(0)
-            log.started.extend(pi for pi, _ in chunk)
+            log.started.extend(chunk)
             return [fn(item) for item in chunk]
 
         def shutdown(self, wait=True, *, cancel_futures=False):
@@ -128,27 +127,37 @@ class TestEstimate:
             estimate_pudof(5, 0.5, a, 0, 1)
 
     def test_draw_of_another_size_rejected(self):
+        # a draw is only read: a tuple counts as drawing the same trials does
         a = build_assignment(5, 0)
-        draw = [sample_realization(5, 0.5, derive_seed(1, t)) for t in range(9)]
+        draw = tuple(sample_realization(5, 0.5, derive_seed(1, t)) for t in range(10))
+        assert estimate_pudof(5, 0.5, a, 10, 1, draw=draw) == estimate_pudof(5, 0.5, a, 10, 1)
         with pytest.raises(ValueError, match="draw holds 9 trials, expected 10"):
-            estimate_pudof(5, 0.5, a, 10, 1, draw=draw)
+            estimate_pudof(5, 0.5, a, 10, 1, draw=draw[:9])
 
     @pytest.mark.parametrize("k", [3, 5, 100])
-    def test_draw_charge_covers_held_bytes(self, k):
-        # MAX_DRAW_BYTES bounds what a held draw really takes
-        a = build_assignment(k, 0)
-        estimate_pudof(k, 0.5, a, 10, 1, draw=[])  # warm any first-call allocation
-        trials = 500
+    def test_draw_charge_covers_held_bytes(self, monkeypatch, k):
+        # MAX_DRAW_BYTES bounds what the draw a shared sweep holds really
+        # takes, measured as the sweep hands it to its first member
+        handed = []
+
+        def held(*args, draw, **kwargs):
+            handed.append((tracemalloc.get_traced_memory()[0], draw))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(montecarlo, "estimate_pudof", held)
+        cfg = SweepConfig(assignments=(AssignmentSpec(k, Fraction(0)),), trials=500, share_realizations=True)
+        specs = [(spec, spec.build()) for spec in cfg.assignments]
+        warm = SweepConfig(assignments=cfg.assignments, trials=10, share_realizations=True)
+        next(montecarlo._point_rows(warm, specs, (0, 0.5)))  # any first-call allocation
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            draw = []
-            estimate_pudof(k, 0.5, a, trials, 1, draw=draw)
-            held = tracemalloc.get_traced_memory()[0] - before
+            next(montecarlo._point_rows(cfg, specs, (0, 0.5)))
         finally:
             tracemalloc.stop()
-        assert len(draw) == trials
-        assert 0 < held <= trials * held_bytes_per_trial(k)
+        after, draw = handed[-1]
+        assert len(draw) == cfg.trials
+        assert 0 < after - before <= cfg.trials * held_bytes_per_trial(k)
 
     @pytest.mark.usefixtures("no_pool")
     @pytest.mark.parametrize("workers", [0, -3])
@@ -180,22 +189,6 @@ class TestEstimate:
         with pytest.raises(ValueError, match=f"need 1 to {MAX_K} users, got k={k}"):
             estimate_pudof(k, 0.5, a, 10, 1, workers=2)
 
-    @pytest.mark.usefixtures("no_pool")
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_oversized_draw_rejected_before_drawing(self, monkeypatch, workers):
-        # A direct caller gets the bound SweepConfig puts on a shared draw.
-        def no_draw(k, p, trial_seed):
-            raise AssertionError("a trial was drawn")
-
-        monkeypatch.setattr(montecarlo, "sample_realization", no_draw)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        a = build_assignment(5, 0)
-        charge = held_bytes_per_trial(5)
-        trials = MAX_DRAW_BYTES // charge + 1
-        match = f"draw needs {trials * charge} bytes, over the {MAX_DRAW_BYTES} allowed"
-        with pytest.raises(ValueError, match=match):
-            estimate_pudof(5, 0.5, a, trials, 1, workers=workers, draw=[])
-
     def test_deterministic_and_worker_invariant(self):
         a = build_assignment(8, 0)
         one = estimate_pudof(8, 0.4, a, 400, 9, workers=1)
@@ -203,31 +196,37 @@ class TestEstimate:
         two = estimate_pudof(8, 0.4, a, 400, 9, workers=2)
         assert one == again == two
 
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
-        # the fake pool records its size and the trial range of every job
-        # it maps, and maps serially: no process starts
-        sizes = []
-        ranges = []
-
-        def serial_map(fn, jobs):
-            jobs = list(jobs)
-            ranges.append([(job[4], job[5]) for job in jobs])
-            return map(fn, jobs)
-
-        def serial_pool(max_workers):
-            sizes.append(max_workers)
-            return contextlib.nullcontext(SimpleNamespace(map=serial_map))
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", serial_pool)
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, serial_pool):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         a = build_assignment(8, 0)
         clamped = estimate_pudof(8, 0.4, a, 50, 9, workers=100_000)
-        assert sizes == [3]
+        assert serial_pool.sizes == [3]
+        blocks = list(serial_pool.started)
         assert clamped == estimate_pudof(8, 0.4, a, 50, 9, workers=1)
         # blocks are sized for the 3 workers that run, not the 100,000 asked for
         assert estimate_pudof(8, 0.4, a, 50, 9, workers=3) == clamped
-        assert sizes == [3, 3]
-        assert len(ranges[0]) == 10 and ranges[0] == ranges[1]
+        assert serial_pool.sizes == [3, 3]
+        assert len(blocks) == 10 and serial_pool.started == blocks + blocks
+
+    def test_pool_capped_at_blocks(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        a = build_assignment(8, 0)
+        assert estimate_pudof(8, 0.4, a, 2, 9, workers=3) == estimate_pudof(8, 0.4, a, 2, 9)
+        assert serial_pool.sizes == [2] and serial_pool.started == [range(0, 1), range(1, 2)]
+        # a single block runs here
+        estimate_pudof(8, 0.4, a, 1, 9, workers=3)
+        assert serial_pool.sizes == [2]
+
+    def test_failing_block_cancels_blocks_not_started(self, monkeypatch, serial_pool):
+        def failing(k, p, trial_seed):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(montecarlo, "sample_realization", failing)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        a = build_assignment(5, 0)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            estimate_pudof(5, 0.5, a, 40, 1, workers=2)
+        assert serial_pool.sizes == [2] and serial_pool.started == [range(0, 5)]
 
     def test_estimator_unbiased_across_reruns(self):
         # deterministic given the seeds; 4-sigma misses are ~1e-4 likely
@@ -384,7 +383,26 @@ class TestSweep:
 
         with pytest.raises(RuntimeError, match="progress failed"):
             sweep(self._cfg(p_step=0.2, workers=2), progress=progress)
-        assert serial_pool.sizes == [2] and serial_pool.started == [0]
+        assert serial_pool.sizes == [2] and serial_pool.started == [(0, 0.0)]
+
+    def test_serial_progress_sees_each_row_when_done(self, monkeypatch):
+        # Two members of one size count one shared draw; each row is
+        # reported once its own trials are scheduled, not its point's.
+        scheduled = []
+        schedule_network = montecarlo.schedule_network
+
+        def counted(*args):
+            scheduled.append(args)
+            return schedule_network(*args)
+
+        monkeypatch.setattr(montecarlo, "schedule_network", counted)
+        cfg = self._cfg(
+            assignments=self.MIXED_SIZES[::2], p_step=0.5, trials=7, share_realizations=True
+        )
+        seen = []
+        rows = sweep(cfg, progress=lambda row: seen.append(len(scheduled)))
+        assert len(rows) == 6
+        assert seen == [(j + 1) * cfg.trials for j in range(len(rows))]
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Seeded Monte Carlo estimation of the delivered fraction per user.
 
 Each trial draws an erasure pattern from a seed derived from (point seed,
-trial index), schedules it, and records the delivered count. Sums are
+trial index), schedules it, and records the delivered count; the draws
+come a slab at a time from `network.sample_trials`. Sums are
 kept as exact integers, so results are bit-identical no matter how the
 trial range is split across workers, and probability-zero/one endpoints
 come out exact.
@@ -21,7 +22,6 @@ import csv
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,7 +32,7 @@ from .assignment import (
     build_assignment,
     remove_transmitter,
 )
-from .network import MAX_K, NetworkRealization, derive_seed, sample_realization
+from .network import MAX_K, NetworkRealization, derive_seed, sample_trials
 from .scheduler import schedule_network
 
 CSV_HEADER = (
@@ -55,8 +55,9 @@ class AssignmentSpec:
     k: int
     f: Fraction
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
+        # one string per spec, shared by every row of the spec
         return assignment_label(self.k, self.f)
 
     def build(self) -> MessageAssignment:
@@ -144,7 +145,7 @@ class SweepConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     p: float
     label: str
@@ -167,23 +168,21 @@ def _dof_sums(realizations, assignment: MessageAssignment) -> tuple[int, int]:
     return total, total_sq
 
 
-def _drawn(k, p, master_seed, trials: range):
-    """The given trials, each drawn from its own derived seed."""
-    return (sample_realization(k, p, derive_seed(master_seed, t)) for t in trials)
-
-
 def _block_sums(k, p, assignment, master_seed, trials: range):
     """Delivered-count sums over the given trials."""
-    return _dof_sums(_drawn(k, p, master_seed, trials), assignment)
+    return _dof_sums(sample_trials(k, p, master_seed, trials), assignment)
 
 
 def _in_order(fn, jobs, size: int, chunksize: int = 1):
     """Yield fn(job) for every job, in order: here when `size` is 1,
     else from one process pool of `size` workers. If the consumer raises
-    or stops, the jobs not yet started are cancelled."""
+    or stops, the jobs not yet started are cancelled. The pool module
+    is imported only here, so a serial run never loads it."""
     if size == 1:
         yield from map(fn, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         try:
             yield from pool.map(fn, jobs, chunksize=chunksize)
@@ -260,11 +259,12 @@ def _point_rows(cfg: SweepConfig, specs, point):
     every member of that size counts the same list."""
     pi, p = point
     draws: dict[int, list[NetworkRealization]] = {}
+    if cfg.share_realizations:
+        seed = derive_seed(cfg.master_seed, pi)  # once a point, for every member
     for ai, (spec, assignment) in enumerate(specs):
         if cfg.share_realizations:
-            seed = derive_seed(cfg.master_seed, pi)
             if spec.k not in draws:
-                draws[spec.k] = list(_drawn(spec.k, p, seed, range(cfg.trials)))
+                draws[spec.k] = list(sample_trials(spec.k, p, seed, range(cfg.trials)))
             draw = draws[spec.k]
         else:
             seed = derive_seed(cfg.master_seed, pi, ai)
@@ -406,7 +406,7 @@ def read_sweep_csv(path) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     p: float
     best: str

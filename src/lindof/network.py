@@ -23,6 +23,20 @@ MIN_GAIN_MAGNITUDE = 1e-3
 _GAIN_SCALE = 1.0 / math.sqrt(2.0)
 # Largest network size the tool samples or sweeps.
 MAX_K = 10_000
+# Most links one slab of `sample_trials` draws at once: 512 KB of floats.
+SLAB_LINKS = 1 << 16
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, filled and mixed with these hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -34,6 +48,93 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     """
     entropy = [int(master_seed)] + [int(i) for i in indices]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def _int_words(n: int) -> list[int]:
+    """n as SeedSequence reads an int: its little-endian 32-bit words, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
+    """`SeedSequence(e).generate_state(n_words, uint32)` for every column e
+    of `entropy`, whose j-th array holds word j of each column's entropy,
+    step for step as numpy's mix_entropy and generate_state run.
+
+    The hash constant evolves the same way for every column, so it stays
+    one Python int, kept to 32 bits; uint32 arrays wrap silently, as the
+    C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> _XSHIFT
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append(value ^ value >> _XSHIFT)
+    return state
+
+
+def _state64(prefix: list[int], values: np.ndarray, n_words: int) -> np.ndarray:
+    """`SeedSequence(prefix + [v]).generate_state(n_words, uint64)` for
+    each uint64 v of `values`, as an (len(values), n_words) array. v
+    enters as one 32-bit word below 2^32 and as two from there, so the
+    rows are hashed in two groups."""
+    lo = (values & _MASK32).astype(np.uint32)
+    hi = (values >> 32).astype(np.uint32)
+    one_word = hi == 0
+    state = np.empty((len(values), 2 * n_words), np.uint32)
+    for rows, words in ((one_word, [lo]), (~one_word, [lo, hi])):
+        count = int(np.count_nonzero(rows))
+        if count == len(values):
+            rows = slice(None)
+        elif count:
+            words = [w[rows] for w in words]
+        else:
+            continue
+        entropy = [np.full(count, w, np.uint32) for w in prefix] + words
+        state[rows] = np.stack(_seed_sequence_state(entropy, 2 * n_words), axis=1)
+    # little-endian word pairs, as SeedSequence views them
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def _trial_seeds(master_seed: int, trials: range) -> np.ndarray:
+    """`derive_seed(master_seed, t)` for every t in `trials`, as uint64."""
+    indices = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    return _state64(_int_words(master_seed), indices, 1)[:, 0]
+
+
+def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(state, inc) of `PCG64(seed)` for each uint64 seed in turn: w0..w3
+    = `SeedSequence(seed).generate_state(4, uint64)` seed the 128-bit LCG
+    as numpy's pcg64_set_seed does."""
+    for w0, w1, w2, w3 in _state64([], seeds, 4).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        yield ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 @dataclass(frozen=True)
@@ -95,6 +196,42 @@ def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
     rng = np.random.default_rng(trial_seed)
     present = (rng.random(2 * k - 1) >= p).tolist()
     return NetworkRealization(k, tuple(present[:k]), tuple(present[k:]))
+
+
+def sample_trials(k: int, p: float, master_seed: int, trials: range) -> Iterator[NetworkRealization]:
+    """`sample_realization(k, p, derive_seed(master_seed, t))` for every t
+    in `trials`, in order, drawn a slab of at most SLAB_LINKS links at a
+    time, so memory does not grow with the number of trials."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
+    if master_seed < 0:
+        raise ValueError(f"master seed must be at least 0, got {master_seed}")
+    if trials and not 0 <= min(trials) <= max(trials) < 1 << 64:
+        raise ValueError(f"trial indices must lie in [0, 2**64), got {trials}")
+    per_slab = max(1, SLAB_LINKS // (2 * k - 1))
+    for start in range(0, len(trials), per_slab):
+        for present in _slab_links(k, p, master_seed, trials[start : start + per_slab]):
+            yield NetworkRealization(k, tuple(present[:k]), tuple(present[k:]))
+
+
+def _slab_links(k: int, p: float, master_seed: int, trials: range) -> list[list[bool]]:
+    """The links of each trial of one slab, as `sample_realization` draws
+    them. The slab's trial seeds and generator start states are hashed
+    together; one generator is set to each trial's state and fills that
+    trial's row, and the slab is compared with p once."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    inner: dict[str, int] = {}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((len(trials), 2 * k - 1))
+    states = _pcg64_states(_trial_seeds(master_seed, trials))
+    # each trial's state goes into the one dict the setter reads
+    for row, (inner["state"], inner["inc"]) in zip(draws, states):
+        bits.state = state
+        rng.random(out=row)
+    return (draws >= p).tolist()
 
 
 def all_realizations(k: int) -> Iterator[NetworkRealization]:

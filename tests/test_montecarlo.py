@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -20,7 +22,7 @@ from lindof.montecarlo import (
     sweep,
     write_sweep_csv,
 )
-from lindof.network import MAX_K, derive_seed, sample_realization
+from lindof.network import MAX_K, derive_seed, sample_realization, sample_trials
 from lindof.oracle import exact_expected_dof
 from lindof.scheduler import decision_pass
 
@@ -30,7 +32,7 @@ def no_pool(monkeypatch):
     def no_pool(max_workers):
         raise AssertionError("a process pool was built")
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
 
 
 @pytest.fixture
@@ -75,7 +77,7 @@ def serial_pool(monkeypatch):
             while self.queued:
                 self._run_next()
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return log
 
 
@@ -218,10 +220,10 @@ class TestEstimate:
         assert serial_pool.sizes == [2]
 
     def test_failing_block_cancels_blocks_not_started(self, monkeypatch, serial_pool):
-        def failing(k, p, trial_seed):
+        def failing(k, p, master_seed, trials):
             raise RuntimeError("draw failed")
 
-        monkeypatch.setattr(montecarlo, "sample_realization", failing)
+        monkeypatch.setattr(montecarlo, "sample_trials", failing)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         a = build_assignment(5, 0)
         with pytest.raises(RuntimeError, match="draw failed"):
@@ -346,15 +348,31 @@ class TestSweep:
         calls = []
 
         def counted(*args):
-            calls.append(args)
-            return sample_realization(*args)
+            for r in sample_trials(*args):  # one entry a trial drawn
+                calls.append(args)
+                yield r
 
-        monkeypatch.setattr(montecarlo, "sample_realization", counted)
+        monkeypatch.setattr(montecarlo, "sample_trials", counted)
         cfg = self._cfg(
             assignments=self.MIXED_SIZES, p_step=0.5, trials=20, share_realizations=share
         )
         sweep(cfg)
         assert len(calls) == cfg.p_count() * cfg.trials * draws_per_point
+
+    @pytest.mark.parametrize("share, seeds_per_point", [(True, 1), (False, 4)])
+    def test_one_seed_per_point_when_shared(self, monkeypatch, share, seeds_per_point):
+        # a shared point derives its one seed once, not once per member,
+        # and no trial seed is derived here
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr(montecarlo, "derive_seed", counted)
+        cfg = self._cfg(assignments=self.MIXED_SIZES, p_step=0.5, trials=5, share_realizations=share)
+        sweep(cfg)
+        assert len(calls) == cfg.p_count() * seeds_per_point
 
     def test_one_pool_per_sweep(self, monkeypatch, serial_pool):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
@@ -403,6 +421,17 @@ class TestSweep:
         rows = sweep(cfg, progress=lambda row: seen.append(len(scheduled)))
         assert len(rows) == 6
         assert seen == [(j + 1) * cfg.trials for j in range(len(rows))]
+
+    def test_rows_share_their_label_and_pickle_equal(self):
+        # a row holds its spec's one label string, and rows and winner
+        # rows, which have slots, come back equal from a pool's pickling
+        cfg = self._cfg(assignments=self.MIXED_SIZES, p_step=0.5, trials=3)
+        rows = sweep(cfg)
+        labels = {spec.label: spec.label for spec in cfg.assignments}
+        assert all(row.label is labels[row.label] for row in rows)
+        table = best_assignment_table(rows)
+        assert pickle.loads(pickle.dumps(rows)) == rows
+        assert pickle.loads(pickle.dumps(table)) == table
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

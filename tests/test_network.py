@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lindof.network import (
     partition_into_clusters,
     realization_to_string,
     sample_realization,
+    sample_trials,
 )
 
 
@@ -101,6 +103,87 @@ class TestSampling:
         n = trials * links
         stderr = math.sqrt(p * (1 - p) / n)
         assert abs(absent / n - p) <= 4 * stderr
+
+
+def per_trial(k, p, master_seed, trials):
+    return [sample_realization(k, p, derive_seed(master_seed, t)) for t in trials]
+
+
+class TestSlabSampling:
+    # 2**100 + 3 has four 32-bit words, so with the trial index its
+    # entropy runs past SeedSequence's pool of four
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3])
+    @pytest.mark.parametrize("k, p", [(5, 0.35), (1, 0.5), (3, 0.0), (3, 1.0)])
+    def test_equals_per_trial_draws(self, master_seed, k, p):
+        trials = range(3, 40)
+        assert list(sample_trials(k, p, master_seed, trials)) == per_trial(k, p, master_seed, trials)
+        seeds = network._trial_seeds(master_seed, trials)
+        assert seeds.tolist() == [derive_seed(master_seed, t) for t in trials]
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64 - 1, 2**100 + 3])
+    def test_trial_index_of_one_and_two_words(self, master_seed):
+        # the index takes a second 32-bit word from 2**32 on, and the
+        # last index a uint64 holds is drawn too
+        for trials in (range(2**32 - 20, 2**32 + 20), range(2**64 - 5, 2**64)):
+            assert list(sample_trials(5, 0.4, master_seed, trials)) == per_trial(5, 0.4, master_seed, trials)
+
+    def test_generator_states_of_one_and_two_word_seeds(self):
+        # a derived trial seed below 2**32 is rare, so the state helper
+        # is checked on explicit seeds; 0 enters as the word [0]
+        seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        states = list(network._pcg64_states(np.array(seeds, dtype=np.uint64)))
+        for seed, state in zip(seeds, states):
+            expected = np.random.default_rng(seed).bit_generator.state["state"]
+            assert state == (expected["state"], expected["inc"])
+
+    def test_range_longer_than_one_slab(self, monkeypatch):
+        # at k=5 a slab of 50 links holds 5 trials: four whole slabs and a part
+        monkeypatch.setattr(network, "SLAB_LINKS", 50)
+        for trials in (range(7, 30), range(40, 3, -3)):
+            assert list(sample_trials(5, 0.3, 11, trials)) == per_trial(5, 0.3, 11, trials)
+        # at the module's own slab, k=1000 holds 32 trials a slab
+        monkeypatch.undo()
+        trials = range(70)
+        assert list(sample_trials(1000, 0.3, 11, trials)) == per_trial(1000, 0.3, 11, trials)
+
+    def test_empty_range_draws_nothing(self):
+        assert list(sample_trials(5, 0.3, 1, range(4, 4))) == []
+
+    @pytest.mark.parametrize(
+        "k, p, master_seed, trials, match",
+        [
+            (0, 0.5, 1, range(3), "need 1 to"),
+            (network.MAX_K + 1, 0.5, 1, range(3), "need 1 to"),
+            (5, 1.5, 1, range(3), "erasure probability"),
+            (5, math.nan, 1, range(3), "erasure probability"),
+            (5, 0.5, -1, range(3), "master seed must be at least 0, got -1"),
+            (5, 0.5, 1, range(-1, 3), "trial indices"),
+            (5, 0.5, 1, range(2**64 - 1, 2**64 + 1), "trial indices"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_drawing(self, k, p, master_seed, trials, match):
+        with pytest.raises(ValueError, match=match):
+            next(sample_trials(k, p, master_seed, trials))
+
+    def test_memory_held_is_one_slab_whatever_the_trial_count(self):
+        # the peak while a long range is drawn and dropped trial by trial
+        # is that of one slab: its floats, then its bools or its seeds
+        k = 5
+        per_slab = network.SLAB_LINKS // (2 * k - 1)
+        list(sample_trials(k, 0.3, 2, range(3)))  # any first-call allocation
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                for _ in sample_trials(k, 0.3, 2, range(n)):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(per_slab), peak(4 * per_slab)
+        assert one <= 64 * network.SLAB_LINKS
+        assert four <= 1.1 * one
 
 
 class TestCoefficients:

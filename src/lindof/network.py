@@ -50,22 +50,17 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _int_words(n: int) -> list[int]:
-    """n as SeedSequence reads an int: its little-endian 32-bit words, [0] for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _seed_sequence_state(prefix: list[int], values: np.ndarray, n_words: int) -> np.ndarray:
+    """`SeedSequence(prefix + [v]).generate_state(n_words, uint64)` for
+    each uint64 v of `values`, as an (len(values), n_words) array, step
+    for step as numpy's mix_entropy and generate_state run.
 
-
-def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
-    """`SeedSequence(e).generate_state(n_words, uint32)` for every column e
-    of `entropy`, whose j-th array holds word j of each column's entropy,
-    step for step as numpy's mix_entropy and generate_state run.
-
-    The hash constant evolves the same way for every column, so it stays
-    one Python int, kept to 32 bits; uint32 arrays wrap silently, as the
-    C code does.
+    `prefix` holds at most two 32-bit words and v enters as its two
+    little-endian words. numpy reads a v below 2^32 as one word, but it
+    hashes each word missing from its pool of four as 0, so with at most
+    two words before v both layouts give the same state. The hash
+    constant evolves the same way for every v, so it stays one Python
+    int, kept to 32 bits; uint32 arrays wrap silently, as the C code does.
     """
     hash_const = _INIT_A
 
@@ -80,59 +75,41 @@ def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.nda
         result = x * _MIX_MULT_L - y * _MIX_MULT_R
         return result ^ result >> _XSHIFT
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    entropy = [np.full(len(values), w, np.uint32) for w in prefix]
+    entropy += [(values & _MASK32).astype(np.uint32), (values >> 32).astype(np.uint32)]
+    entropy += [np.zeros(len(values), np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
     hash_const = _INIT_B
     state = []
-    for i in range(n_words):
+    for i in range(2 * n_words):
         value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state.append(value ^ value >> _XSHIFT)
-    return state
-
-
-def _state64(prefix: list[int], values: np.ndarray, n_words: int) -> np.ndarray:
-    """`SeedSequence(prefix + [v]).generate_state(n_words, uint64)` for
-    each uint64 v of `values`, as an (len(values), n_words) array. v
-    enters as one 32-bit word below 2^32 and as two from there, so the
-    rows are hashed in two groups."""
-    lo = (values & _MASK32).astype(np.uint32)
-    hi = (values >> 32).astype(np.uint32)
-    one_word = hi == 0
-    state = np.empty((len(values), 2 * n_words), np.uint32)
-    for rows, words in ((one_word, [lo]), (~one_word, [lo, hi])):
-        count = int(np.count_nonzero(rows))
-        if count == len(values):
-            rows = slice(None)
-        elif count:
-            words = [w[rows] for w in words]
-        else:
-            continue
-        entropy = [np.full(count, w, np.uint32) for w in prefix] + words
-        state[rows] = np.stack(_seed_sequence_state(entropy, 2 * n_words), axis=1)
     # little-endian word pairs, as SeedSequence views them
-    return state.astype("<u4", copy=False).view("<u8")
+    return np.stack(state, axis=1).astype("<u4", copy=False).view("<u8")
 
 
 def _trial_seeds(master_seed: int, trials: range) -> np.ndarray:
-    """`derive_seed(master_seed, t)` for every t in `trials`, as uint64."""
+    """`derive_seed(master_seed, t)` for every t in `trials`, as uint64.
+    A master seed from 2^64 up has more than two words, so its trial
+    seeds come from `derive_seed` itself, one at a time."""
+    if master_seed >> 64:
+        return np.array([derive_seed(master_seed, t) for t in trials], np.uint64)
     indices = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
-    return _state64(_int_words(master_seed), indices, 1)[:, 0]
+    prefix = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
+    return _seed_sequence_state(prefix, indices, 1)[:, 0]
 
 
 def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
     """(state, inc) of `PCG64(seed)` for each uint64 seed in turn: w0..w3
     = `SeedSequence(seed).generate_state(4, uint64)` seed the 128-bit LCG
     as numpy's pcg64_set_seed does."""
-    for w0, w1, w2, w3 in _state64([], seeds, 4).tolist():
+    for w0, w1, w2, w3 in _seed_sequence_state([], seeds, 4).tolist():
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         yield ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
 
@@ -182,6 +159,13 @@ class NetworkRealization:
         return self.direct_gain is not None and self.cross_gain is not None
 
 
+def _check_k_p(k: int, p: float) -> None:
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
+
+
 def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
     """Draw one erasure pattern; each link dies independently with probability p.
 
@@ -189,10 +173,7 @@ def sample_realization(k: int, p: float, trial_seed: int) -> NetworkRealization:
     returns the identical realization. One `.tolist()` turns the draw
     into Python bools, the type `scheduler.decision_pass` reads.
     """
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
+    _check_k_p(k, p)
     rng = np.random.default_rng(trial_seed)
     present = (rng.random(2 * k - 1) >= p).tolist()
     return NetworkRealization(k, tuple(present[:k]), tuple(present[k:]))
@@ -202,10 +183,7 @@ def sample_trials(k: int, p: float, master_seed: int, trials: range) -> Iterator
     """`sample_realization(k, p, derive_seed(master_seed, t))` for every t
     in `trials`, in order, drawn a slab of at most SLAB_LINKS links at a
     time, so memory does not grow with the number of trials."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
+    _check_k_p(k, p)
     if master_seed < 0:
         raise ValueError(f"master seed must be at least 0, got {master_seed}")
     if trials and not 0 <= min(trials) <= max(trials) < 1 << 64:

@@ -149,6 +149,10 @@ def test_validation_rejects_bad_sets():
         MessageAssignment(3, (frozenset({0}), frozenset(), frozenset()))
     with pytest.raises(ValueError):
         MessageAssignment(3, (frozenset({4}), frozenset(), frozenset()))
+    with pytest.raises(ValueError, match="^need at least one user, got k=0$"):
+        MessageAssignment(0, ())
+    with pytest.raises(ValueError, match="^expected 3 transmit sets, got 2$"):
+        MessageAssignment(3, (frozenset({1}), frozenset({2})))
 
 
 def test_random_assignment_respects_budget():

@@ -14,6 +14,7 @@ from lindof.cli import (
 )
 from lindof.montecarlo import AssignmentSpec, SweepConfig, read_sweep_csv
 from lindof.network import MAX_K
+from lindof.scheduler import Schedule
 
 
 def run(capsys, *argv):
@@ -330,6 +331,30 @@ class TestTraceCommand:
         assert err == "error: transmitter 2: cancelling message 1 needs links that are erased\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "either a realization string or --k with --p is required"),
+            (("--k", "5"), "--p is required when no realization string is given"),
+        ],
+        ids=["no-network", "k-without-p"],
+    )
+    def test_sampled_network_needs_k_and_p(self, capsys, argv, message):
+        code, out, err = run(capsys, "trace", "--f", "0", *argv)
+        assert code == EXIT_USAGE
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_helper_over_erased_link_is_mismatch(self, capsys, monkeypatch):
+        # transmitter 2 nulls message 4 at receiver 3 over direct link 3,
+        # which is erased: `build_transmit_signals` itself refuses the entry
+        erased = Schedule(5, frozenset({(4, 2)}), frozenset())
+        monkeypatch.setattr("lindof.cli.schedule_network", lambda r, a: erased)
+        code, out, err = run(capsys, "trace", "--f", "3/5", "5;11011;1111")
+        assert code == EXIT_MISMATCH
+        assert err == "error: transmitter 2: cancelling message 4 needs links that are erased\n"
+        assert out == ""
+
     def test_sampled_network_size_bounded(self, capsys):
         code, out, err = run(capsys, "trace", "--k", str(MAX_K + 1), "--p", "0.5", "--f", "0")
         assert code == EXIT_USAGE
@@ -389,9 +414,11 @@ class TestTableCommand:
             ('0.1,"K=5,f=7/2",5,7,2,10,1,0.5,0', "f must lie in [0, 1], got 7/2"),
             ('0.1,"K=5,f=1/2",5,1,2,10,-1,0.5,0', "seed must be at least 0, got -1"),
             ("0.1,x,5,1,2,10,1,0.5,0", "assignment must be K=5,f=1/2, got x"),
+            ("0.1,x,5,1,2,10,1,0.5", "expected 9 fields, got 8"),
         ],
         ids=["mean-text", "p-nan", "p-7", "trials-neg", "mean-5", "mean-nan",
-             "stderr-neg", "stderr-inf", "k-neg", "f-7/2", "seed-neg", "label-mismatch"],
+             "stderr-neg", "stderr-inf", "k-neg", "f-7/2", "seed-neg", "label-mismatch",
+             "field-count"],
     )
     def test_schema_violation_names_row(self, tmp_path, capsys, row, reason):
         bad = tmp_path / "bad.csv"
@@ -403,6 +430,24 @@ class TestTableCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith(f"error: {bad} row 2: {reason}")
+
+    def test_wrong_header_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("p,assignment,k\n0.1,x,5\n")
+        code, out, err = run(capsys, "table", "--in", str(bad))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: {bad}: expected header p,assignment,k,f_num,f_den,trials,seed,"
+            "pudof_mean,pudof_stderr, got ['p', 'assignment', 'k']\n"
+        )
+
+    def test_same_input_twice_is_duplicate(self, tmp_path, capsys):
+        csv_a = self._sweep(tmp_path, capsys, "a.csv", "3/5")
+        code, out, err = run(capsys, "table", "--in", str(csv_a), "--in", str(csv_a))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: duplicate row for p=0.0, assignment K=5,f=3/5\n"
 
     def test_empty_csv_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

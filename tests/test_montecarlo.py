@@ -128,6 +128,10 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_pudof(5, 0.5, a, 0, 1)
 
+    def test_assignment_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="^assignment has k=4, expected 5$"):
+            estimate_pudof(5, 0.5, build_assignment(4, 0), 10, 1)
+
     def test_draw_of_another_size_rejected(self):
         # a draw is only read: a tuple counts as drawing the same trials does
         a = build_assignment(5, 0)

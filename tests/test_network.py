@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lindof import network
+from lindof.cli import main
 from lindof.network import (
     MIN_GAIN_MAGNITUDE,
     Cluster,
@@ -186,6 +188,58 @@ class TestSlabSampling:
         assert four <= 1.1 * one
 
 
+class TestPinnedStream:
+    # What given seeds draw, frozen: a change to the random stream fails
+    # here even where the slab path and `sample_realization` share it
+    @pytest.mark.parametrize(
+        "master_seed, expected",
+        [
+            (0, ["5;10111;0011", "5;11010;1101", "5;01101;0110", "5;11100;1100"]),
+            (2**32, ["5;11010;1101", "5;11111;0110", "5;01101;0011", "5;10101;1100"]),
+            (2**64 - 1, ["5;00111;0101", "5;01011;0011", "5;10010;1010", "5;00001;0110"]),
+            (2**100 + 3, ["5;11101;1111", "5;00001;0111", "5;11010;1100", "5;11101;1001"]),
+        ],
+    )
+    def test_sampled_trials(self, master_seed, expected):
+        drawn = sample_trials(5, 0.35, master_seed, range(4))
+        assert [realization_to_string(r) for r in drawn] == expected
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "--k 6 --f 1/3 --f 0 --p-step 0.1 --trials 200 --seed 5",
+                "8b90c30864a81efdbd1b8591bb72d4774d374db9d31b9c7dd464b06b5d01b5e6",
+            ),
+            (
+                "--k 100 --f 1/2 --f 3/4 --p-step 0.25 --trials 300"
+                " --seed 18446744073709551615 --share-realizations",
+                "9937522bfbf580ecc98ccd8462ea4bdc69a7b5bd1f18a98ce4aeca9df13dc3b7",
+            ),
+        ],
+        ids=["k6", "k100-shared"],
+    )
+    def test_sweep_csv_bytes(self, tmp_path, argv, digest):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv.split(), "--quiet", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("v", [0, 1, 2**32 - 1])
+def test_seed_sequence_pads_a_short_last_value(v):
+    # The slab hash enters every value as two 32-bit words. numpy reads
+    # one below 2**32, but hashes each word missing from its pool of four
+    # as 0: the layouts agree while at most two words come before v. A
+    # master seed from 2**64 up has three, so it takes `derive_seed`.
+    def state(entropy):
+        return np.random.SeedSequence(entropy).generate_state(8).tolist()
+
+    split = [v & 0xFFFFFFFF, v >> 32]
+    for prefix in ([], [7], [2**40 + 5]):
+        assert state(prefix + [v]) == state(prefix + split)
+    assert state([2**64 + 3, v]) != state([2**64 + 3] + split)
+
+
 class TestCoefficients:
     def test_all_absent_gives_zero_gains(self):
         r = NetworkRealization(4, (False,) * 4, (False,) * 3)
@@ -232,6 +286,13 @@ class TestCoefficients:
         # the first disagreeing link is named, not a later one
         with pytest.raises(ValueError, match="^surviving cross link 2 has zero gain$"):
             NetworkRealization(4, (True,) * 4, (False, True, False), (1j,) * 4, (0j, 0j, 1j))
+
+
+def test_link_counts_checked():
+    with pytest.raises(ValueError, match="^need at least one user, got k=0$"):
+        NetworkRealization(0, (), ())
+    with pytest.raises(ValueError, match="^expected 3 cross links, got 2$"):
+        NetworkRealization(4, (True,) * 4, (True,) * 2)
 
 
 class TestClusters:

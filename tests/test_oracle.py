@@ -136,6 +136,11 @@ class TestOptimalDof:
         a = MessageAssignment(2, (frozenset({1}), frozenset({2})))
         assert optimal_zero_forcing_dof(r, a) == 1
 
+    def test_assignment_of_another_size_rejected(self):
+        r = parse_realization("5;11111;1111")
+        with pytest.raises(ValueError, match="^realization has k=5 but assignment has k=4$"):
+            optimal_zero_forcing_dof(r, build_assignment(4, 0))
+
     def test_size_guard(self):
         r = sample_realization(11, 0.5, 0)
         a = MessageAssignment(11, tuple(frozenset({i}) for i in range(1, 12)))

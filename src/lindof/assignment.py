@@ -8,6 +8,7 @@ helper that is not connected to the message's own receiver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,19 @@ class MessageAssignment:
                 raise ValueError(f"message {i}: at most two transmitters allowed, got {sorted(ts)}")
             if any(t < 1 or t > self.k for t in ts):
                 raise ValueError(f"message {i}: transmitter indices must lie in 1..{self.k}")
+
+    @functools.cached_property
+    def shape(self) -> tuple[tuple[bool, bool, bool, bool], ...]:
+        """Per message i: (i-1 in T_i, i-2 in T_i, i in T_i, i in T_{i-1}).
+
+        The four memberships are all `scheduler.decision_pass` reads of the
+        transmit sets; they are built once per object, not a field.
+        """
+        sets = self.transmit_sets
+        return tuple(
+            (i - 1 in ts, i - 2 in ts, i in ts, i > 1 and i in sets[i - 2])
+            for i, ts in enumerate(sets, start=1)
+        )
 
 
 def build_assignment(k: int, f: Fraction | int) -> MessageAssignment:

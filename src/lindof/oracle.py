@@ -104,16 +104,17 @@ def exact_expected_dof(
     removed from every transmit set, mirroring the Monte Carlo harness;
     its direct link then carries nothing. `k` may be at most MAX_EXACT_K.
 
-    No pattern is listed. A forward DP runs `decision_pass` one user at a
-    time, once per distinct scan state and per value of the user's direct
-    link and the cross link before it, and merges equal states. A state
-    is the user index and five bits, so at most 2^5 = 32 states are live
-    after any user (8 on the family members). Per state the DP keeps the
-    pattern count and the delivered sum per number of erased links, each
-    as one integer: a polynomial in x for an erased link, taken at a
-    power of two wide enough that no coefficient spills into the next.
-    The sums make the result a polynomial in p, evaluated by compensated
-    summation, so it is order-independent.
+    No pattern is listed. A forward DP runs `decision_pass` on the
+    assignment's shape one user at a time, once per distinct scan state
+    and per value of the user's direct link and the cross link before
+    it, and merges equal states. A state is the user index and five
+    bits, so at most 2^5 = 32 states are live after any user (8 on the
+    family members). Per state the DP keeps the pattern count and the
+    delivered sum per number of erased links, each as one integer: a
+    polynomial in x for an erased link, taken at a power of two wide
+    enough that no coefficient spills into the next. The sums make the
+    result a polynomial in p, evaluated by compensated summation, so it
+    is order-independent.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
@@ -130,7 +131,7 @@ def exact_expected_dof(
     cross = [False] * (k - 1)
     polys = {LINE_START: (1, 0)}  # state -> (patterns, delivered)
     for i in range(1, k + 1):
-        upto = a.transmit_sets[:i]
+        upto = a.shape[:i]
         reached: dict[tuple, tuple[int, int]] = {}
         for d0 in (False, True):
             direct[i - 1] = d0

@@ -46,80 +46,87 @@ class Schedule:
 # of user i, busy_i, busy_{i-1}, whether cross link i-1 survived), where
 # busy_j says receiver j was won and direct link j survived: an unnulled
 # signal from transmitter j disturbs receiver j exactly then. The state
-# names no transmit set: a resumed pass reads message i's set from
-# `transmit_sets`. See `decision_pass`.
+# names no transmit set: a resumed pass reads message i's four bits from
+# `shape`. See `decision_pass`.
 LINE_START = (0, False, False, False, False, False)
 
 
 def decision_pass(
     direct: Sequence,
     cross: Sequence,
-    transmit_sets: Sequence[frozenset[int]],
+    shape: Sequence[tuple[bool, bool, bool, bool]],
     record: tuple[list, list] | None = None,
     state: tuple = LINE_START,
 ):
     """The greedy pass as one left-to-right scan; returns (delivered, state).
 
     `direct` holds k link bits, `cross` k-1 (cross link j joins users j
-    and j+1), all Python bools; `transmit_sets[i-1]` is message i's set.
-    The rule is plain `not`, `and` and `or` on those bools, so every
-    decision and every state field is a bool and the count an int.
+    and j+1), all Python bools. `shape[i-1]` is message i's
+    `MessageAssignment.shape` entry: (i-1 in T_i, i-2 in T_i, i in T_i,
+    i in T_{i-1}), the only four bits of the transmit sets the rule
+    reads. The rule is plain `not`, `and` and `or` on those bools, so
+    every decision and every state field is a bool and the count an int.
 
     User i reads the decisions of users i-1 and i-2 only, and only while
-    they share its cluster: `near` says user i-1 does (cross link i-1
-    survived), `near2` says user i-2 does too. Of user i-2 it reads only
-    busy_{i-2}; of user i-1, busy_{i-1}, its own send and its
-    cancellation. An erased cross link thus resets the scan, which is the
-    cluster split. With `record`, a pair of lists (users, entries), the
-    scan writes the schedule itself: every delivered user i is appended
-    to `users`, and its sends to `entries` as (message, transmitter)
-    pairs: (i, i) or (i, i-1) for the delivery, then the cancellation
-    (i-1, i) and the helper (i, i-2) when they go with it. Users that
-    get nothing add nothing.
+    they share its cluster: `link` says user i-1 does (cross link i-1
+    survived), and `near`, the link before it, says user i-2 does too
+    when `link` holds. Of user i-2 it reads only busy_{i-2}; of user i-1,
+    busy_{i-1}, its own send and its cancellation. An erased cross link
+    thus resets the scan, which is the cluster split. With `record`, a
+    pair of lists (users, entries), the scan writes the schedule itself:
+    every delivered user i is appended to `users`, and its sends to
+    `entries` as (message, transmitter) pairs. A delivery from the own
+    transmitter adds (i, i), then the cancellation (i-1, i) if user i-1
+    shares its cluster and was sent from its own transmitter; one from
+    the preceding transmitter adds (i, i-1), then the helper (i, i-2) if
+    receiver i-1 is busy. Users that get nothing add nothing.
 
     The scan resumes after the last user of `state` (default: the start
-    of the line) and runs to the last message of `transmit_sets`; the
-    count covers the users it visited, and the state it returns resumes
-    it. User i reads direct link i, cross link i-1 and the transmit sets
-    of messages i-1 and i only. The state is a hashable tuple of an index
-    and five bools, so `oracle.exact_expected_dof` can run the scan one
-    user at a time and merge equal states.
+    of the line) and runs to the last message of `shape`; the count
+    covers the users it visited, and the state it returns resumes it.
+    User i reads direct link i, cross link i-1 and `shape[i-1]` only. The
+    state is a hashable tuple of an index and five bools, so
+    `oracle.exact_expected_dof` can run the scan one user at a time and
+    merge equal states.
     """
     if record is not None:
         users, entries = record
     i, own1, cancel1, busy1, busy2, near = state
-    ts1 = transmit_sets[i - 1] if i else frozenset()
+    # user i reads links[i-1], cross link i-1; user 1 has none
+    if i:
+        shape, direct, links = shape[i:], direct[i:], cross[i - 1:]
+    else:
+        links = (False, *cross)
     delivered = 0
-    for i, ts in enumerate(transmit_sets[i:], start=i + 1):
-        d0 = direct[i - 1]
-        link = i > 1 and cross[i - 2]
-        near2 = near and link
-        near = link
-        own1_near = own1 and near
+    for (at_prev, at_prev2, at_own, prev_at_own), d0, link in zip(shape, direct, links):
+        i += 1
+        own1_near = own1 and link
         # Try the preceding transmitter first: its signal can only disturb
         # receiver i-1, and only when that receiver is busy; a helper at
         # transmitter i-2 may null that unless receiver i-2 is busy too.
-        back = near and i - 1 in ts and not own1_near
-        can_help = near2 and i - 2 in ts and not busy2
-        prev = back and (not busy1 or can_help)
-        helper = prev and busy1
+        prev = link and at_prev and not own1_near and (not busy1 or near and at_prev2 and not busy2)
+        near = link
         # Otherwise send from the own transmitter. Receiver i must not
         # already be burdened by an uncancellable emission at transmitter
         # i-1; interference from a self-delivering transmitter i-1 can be
         # nulled from transmitter i when it also knows message i-1.
-        own = d0 and i in ts and not prev and not (cancel1 and near) and (not own1_near or i in ts1)
-        cancel = own and own1_near
-        if own or prev:
+        own = d0 and at_own and not prev and not (cancel1 and link) and (not own1_near or prev_at_own)
+        if own:
             delivered += 1
             if record is not None:
                 users.append(i)
-                entries.append((i, i) if own else (i, i - 1))
-                if cancel:
+                entries.append((i, i))
+                if own1_near:  # the cancellation
                     entries.append((i - 1, i))
-                if helper:
+        elif prev:
+            delivered += 1
+            if record is not None:
+                users.append(i)
+                entries.append((i, i - 1))
+                if busy1:  # the helper
                     entries.append((i, i - 2))
         busy2, busy1 = busy1, d0 and (own or prev)
-        own1, cancel1, ts1 = own, cancel, ts
+        own1, cancel1 = own, own and own1_near
     return delivered, (i, own1, cancel1, busy1, busy2, near)
 
 
@@ -134,7 +141,7 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
     users, entries = [], []
-    decision_pass(r.direct, r.cross, a.transmit_sets, (users, entries))
+    decision_pass(r.direct, r.cross, a.shape, (users, entries))
     return Schedule(r.k, frozenset(entries), frozenset(users))
 
 

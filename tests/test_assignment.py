@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +136,52 @@ class TestRestrictToCluster:
         ))
         local = restrict_to_cluster(a, Cluster(1, 3))
         assert local.transmit_sets[1] == frozenset()
+
+
+def memberships(a):
+    # message i's four bits read straight off the sets, with T_0 empty
+    sets = (frozenset(),) + a.transmit_sets
+    return [
+        (i - 1 in sets[i], i - 2 in sets[i], i in sets[i], i in sets[i - 1])
+        for i in range(1, a.k + 1)
+    ]
+
+
+class TestShape:
+    def test_four_memberships_per_message(self):
+        rng = np.random.default_rng(26)
+        for k in range(1, 9):
+            cases = [random_assignment(k, rng) for _ in range(40)]
+            cases.append(MessageAssignment(k, (frozenset(),) * k))
+            # every message known only far from its receiver
+            cases.append(MessageAssignment(k, tuple(frozenset({(i + 3) % k + 1}) for i in range(1, k + 1))))
+            if k >= 3:
+                cases += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
+            cases += [remove_transmitter(a, t) for a in cases for t in (1, k)]
+            for a in cases:
+                assert len(a.shape) == k
+                assert list(a.shape) == memberships(a)
+                assert all(type(bit) is bool for bits in a.shape for bit in bits)
+
+    def test_shape_is_not_a_field(self):
+        a = build_assignment(6, Fraction(1, 2))
+        fresh = build_assignment(6, Fraction(1, 2))
+        before = (repr(a), hash(a))
+        a.shape
+        assert [f.name for f in dataclasses.fields(a)] == ["k", "transmit_sets"]
+        assert a == fresh and (repr(a), hash(a)) == before == (repr(fresh), hash(fresh))
+        assert "shape" not in repr(a)
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and repr(copy) == repr(a) and copy.shape == a.shape
+
+    def test_copies_compute_their_own_shape(self):
+        a = build_assignment(6, Fraction(1, 2))
+        a.shape
+        removed = remove_transmitter(a, 3)
+        replaced = dataclasses.replace(a, transmit_sets=removed.transmit_sets)
+        for b in (removed, replaced):
+            assert b.shape != a.shape
+            assert list(b.shape) == memberships(b)
 
 
 def test_remove_transmitter_strips_everywhere():

@@ -117,7 +117,7 @@ class TestEstimate:
         a = build_assignment(k, f)
         silenced = remove_transmitter(a, k)
         draws = [sample_realization(k, p, derive_seed(seed, t)) for t in range(trials)]
-        counts = [decision_pass(r.direct, r.cross, silenced.transmit_sets)[0] for r in draws]
+        counts = [decision_pass(r.direct, r.cross, silenced.shape)[0] for r in draws]
         total, total_sq = sum(counts), sum(d * d for d in counts)
         variance = (total_sq - total * total / trials) / (trials - 1)
         expected = (total / (trials * k), math.sqrt(max(0.0, variance) / trials) / k)

@@ -131,7 +131,8 @@ class TestSlabSampling:
 
     def test_generator_states_of_one_and_two_word_seeds(self):
         # a derived trial seed below 2**32 is rare, so the state helper
-        # is checked on explicit seeds; 0 enters as the word [0]
+        # is checked on explicit seeds; numpy reads 0 as the word [0] and
+        # `_seed_sequence_state` pads it to [0, 0], which hashes the same
         seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
         states = list(network._pcg64_states(np.array(seeds, dtype=np.uint64)))
         for seed, state in zip(seeds, states):

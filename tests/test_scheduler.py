@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lindof.assignment import (
+    MessageAssignment,
     build_assignment,
     random_assignment,
     remove_transmitter,
@@ -122,17 +123,42 @@ class TestDecisionPassCount:
             family += [remove_transmitter(a, k) for a in family]
             for r in all_realizations(k):
                 for a in family:
-                    count, _ = decision_pass(r.direct, r.cross, a.transmit_sets)
+                    count, _ = decision_pass(r.direct, r.cross, a.shape)
                     assert count == len(schedule_network(r, a).delivered)
                     total, state = 0, LINE_START
                     for i in range(1, k + 1):
                         got, state = decision_pass(
-                            r.direct, r.cross, a.transmit_sets[:i], state=state
+                            r.direct, r.cross, a.shape[:i], state=state
                         )
                         total += got
                         assert tuple(map(type, state)) == (int, bool, bool, bool, bool, bool)
                         assert state[0] == i
                     assert total == count
+
+
+class TestShapeDecides:
+    def test_equal_shapes_schedule_alike(self):
+        # The pass reads only the shape, so moving a transmitter that lies
+        # outside i-2..i+1 within T_i, or dropping it, changes no schedule.
+        compared = 0
+        for k in range(1, 6):
+            rng = np.random.default_rng(derive_seed(26, k))
+            for _ in range(30):
+                a = random_assignment(k, rng)
+                sets = []
+                for i, ts in enumerate(a.transmit_sets, start=1):
+                    far = set(range(1, k + 1)) - set(range(i - 2, i + 2))
+                    kept = {t for t in ts if t not in far}
+                    moved = [int(rng.choice(sorted(far - ts))) for _ in ts & far if far - ts]
+                    sets.append(frozenset(kept.union(moved)))
+                b = MessageAssignment(k, tuple(sets))
+                if b == a:
+                    continue
+                assert b.shape == a.shape
+                compared += 1
+                for r in all_realizations(k):
+                    assert schedule_network(r, b) == schedule_network(r, a)
+        assert compared >= 40
 
 
 class TestResumedDecisionPass:
@@ -142,12 +168,12 @@ class TestResumedDecisionPass:
         for t in range(300):
             r, a = random_case(t)
             whole = ([], [])
-            count, end = decision_pass(r.direct, r.cross, a.transmit_sets, whole)
+            count, end = decision_pass(r.direct, r.cross, a.shape, whole)
             steps = ([], [])
             total, state = 0, LINE_START
             for i in range(1, r.k + 1):
                 got, state = decision_pass(
-                    r.direct, r.cross, a.transmit_sets[:i], steps, state
+                    r.direct, r.cross, a.shape[:i], steps, state
                 )
                 total += got
             assert steps == whole

@@ -32,7 +32,7 @@ from .assignment import (
     build_assignment,
     remove_transmitter,
 )
-from .network import MAX_K, NetworkRealization, derive_seed, sample_trials
+from .network import MAX_K, NetworkRealization, _check_k_p, derive_seed, sample_trials
 from .scheduler import schedule_network
 
 CSV_HEADER = (
@@ -219,16 +219,13 @@ def estimate_pudof(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if not 1 <= k <= MAX_K:  # before a pool is built, not in a worker
-        raise ValueError(f"need 1 to {MAX_K} users, got k={k}")
+    _check_k_p(k, p)  # before a pool is built, not in a worker
     if k != assignment.k:
         raise ValueError(f"assignment has k={assignment.k}, expected {k}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if master_seed < 0:
         raise ValueError(f"master seed must be at least 0, got {master_seed}")
-    if not 0.0 <= p <= 1.0:  # before a pool is built, not in a worker
-        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
     if draw is not None and len(draw) != trials:
         raise ValueError(f"draw holds {len(draw)} trials, expected {trials}")
     if deactivate_last:

@@ -53,51 +53,42 @@ LINE_START = (0, False, False, False, False, False)
 
 def decision_pass(
     direct: Sequence,
-    cross: Sequence,
+    links: Sequence,
     shape: Sequence[tuple[bool, bool, bool, bool]],
-    record: tuple[list, list] | None = None,
     state: tuple = LINE_START,
 ):
-    """The greedy pass as one left-to-right scan; returns (delivered, state).
+    """The greedy pass as one left-to-right scan; returns (users, entries, state).
 
-    `direct` holds k link bits, `cross` k-1 (cross link j joins users j
-    and j+1), all Python bools. `shape[i-1]` is message i's
+    The scan visits one user per element of the three sequences, in
+    order, numbering them on from the index in `state` (default: the
+    start of the line). For each it reads `direct[j]`, its direct link
+    bit; `links[j]`, the cross link into it from the user before (False
+    for user 1, which has none); and `shape[j]`, its message's
     `MessageAssignment.shape` entry: (i-1 in T_i, i-2 in T_i, i in T_i,
     i in T_{i-1}), the only four bits of the transmit sets the rule
     reads. The rule is plain `not`, `and` and `or` on those bools, so
-    every decision and every state field is a bool and the count an int.
+    every decision and every state field is a bool.
 
     User i reads the decisions of users i-1 and i-2 only, and only while
     they share its cluster: `link` says user i-1 does (cross link i-1
     survived), and `near`, the link before it, says user i-2 does too
     when `link` holds. Of user i-2 it reads only busy_{i-2}; of user i-1,
     busy_{i-1}, its own send and its cancellation. An erased cross link
-    thus resets the scan, which is the cluster split. With `record`, a
-    pair of lists (users, entries), the scan writes the schedule itself:
-    every delivered user i is appended to `users`, and its sends to
-    `entries` as (message, transmitter) pairs. A delivery from the own
-    transmitter adds (i, i), then the cancellation (i-1, i) if user i-1
-    shares its cluster and was sent from its own transmitter; one from
-    the preceding transmitter adds (i, i-1), then the helper (i, i-2) if
-    receiver i-1 is busy. Users that get nothing add nothing.
+    thus resets the scan, which is the cluster split. Every delivered
+    user i goes to `users`, and its sends to `entries` as (message,
+    transmitter) pairs. A delivery from the own transmitter adds (i, i),
+    then the cancellation (i-1, i) if user i-1 shares its cluster and was
+    sent from its own transmitter; one from the preceding transmitter
+    adds (i, i-1), then the helper (i, i-2) if receiver i-1 is busy.
+    Users that get nothing add nothing.
 
-    The scan resumes after the last user of `state` (default: the start
-    of the line) and runs to the last message of `shape`; the count
-    covers the users it visited, and the state it returns resumes it.
-    User i reads direct link i, cross link i-1 and `shape[i-1]` only. The
-    state is a hashable tuple of an index and five bools, so
+    The returned state resumes the scan after the last user visited. It
+    is a hashable tuple of an index and five bools, so
     `oracle.exact_expected_dof` can run the scan one user at a time and
     merge equal states.
     """
-    if record is not None:
-        users, entries = record
+    users, entries = [], []
     i, own1, cancel1, busy1, busy2, near = state
-    # user i reads links[i-1], cross link i-1; user 1 has none
-    if i:
-        shape, direct, links = shape[i:], direct[i:], cross[i - 1:]
-    else:
-        links = (False, *cross)
-    delivered = 0
     for (at_prev, at_prev2, at_own, prev_at_own), d0, link in zip(shape, direct, links):
         i += 1
         own1_near = own1 and link
@@ -112,22 +103,18 @@ def decision_pass(
         # nulled from transmitter i when it also knows message i-1.
         own = d0 and at_own and not prev and not (cancel1 and link) and (not own1_near or prev_at_own)
         if own:
-            delivered += 1
-            if record is not None:
-                users.append(i)
-                entries.append((i, i))
-                if own1_near:  # the cancellation
-                    entries.append((i - 1, i))
+            users.append(i)
+            entries.append((i, i))
+            if own1_near:  # the cancellation
+                entries.append((i - 1, i))
         elif prev:
-            delivered += 1
-            if record is not None:
-                users.append(i)
-                entries.append((i, i - 1))
-                if busy1:  # the helper
-                    entries.append((i, i - 2))
+            users.append(i)
+            entries.append((i, i - 1))
+            if busy1:  # the helper
+                entries.append((i, i - 2))
         busy2, busy1 = busy1, d0 and (own or prev)
         own1, cancel1 = own, own and own1_near
-    return delivered, (i, own1, cancel1, busy1, busy2, near)
+    return users, entries, (i, own1, cancel1, busy1, busy2, near)
 
 
 def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
@@ -140,8 +127,7 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     """
     if r.k != a.k:
         raise ValueError(f"realization has k={r.k} but assignment has k={a.k}")
-    users, entries = [], []
-    decision_pass(r.direct, r.cross, a.shape, (users, entries))
+    users, entries, _ = decision_pass(r.direct, (False, *r.cross), a.shape)
     return Schedule(r.k, frozenset(entries), frozenset(users))
 
 

@@ -111,13 +111,13 @@ class TestEstimate:
     )
     def test_equals_decision_pass_reference(self, k, f):
         # Trials count schedule_network's delivered sets; the mean and
-        # stderr are exactly those of the bare pass's count on the same
-        # draws, the path that builds no schedule.
+        # stderr are exactly those of the bare pass's delivered users on
+        # the same draws, counted without building a Schedule.
         p, trials, seed = 0.35, 200, 31
         a = build_assignment(k, f)
         silenced = remove_transmitter(a, k)
         draws = [sample_realization(k, p, derive_seed(seed, t)) for t in range(trials)]
-        counts = [decision_pass(r.direct, r.cross, silenced.shape)[0] for r in draws]
+        counts = [len(decision_pass(r.direct, (False, *r.cross), silenced.shape)[0]) for r in draws]
         total, total_sq = sum(counts), sum(d * d for d in counts)
         variance = (total_sq - total * total / trials) / (trials - 1)
         expected = (total / (trials * k), math.sqrt(max(0.0, variance) / trials) / k)

@@ -240,9 +240,14 @@ def per_pattern_expected_dof(k, p, a, count=greedy_dof):
 
 class TestExactExpectedDof:
     def test_equals_per_pattern_greedy_sum(self):
+        # The random assignments' shape entries cover all 14 that |T_i| <= 2
+        # allows (i-1, i-2 and i never all lie in T_i), so the DP's one-user
+        # step runs on every code.
+        codes = set()
         for k in range(1, 8):
             rng = np.random.default_rng(derive_seed(63, k))
-            family = [random_assignment(k, rng)]
+            family = [random_assignment(k, rng) for _ in range(4)]
+            codes.update(code for a in family for code in a.shape)
             if k >= 3:
                 family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
             for a in family:
@@ -252,6 +257,7 @@ class TestExactExpectedDof:
                         assert exact_expected_dof(
                             k, p, a, deactivate_last=deactivate
                         ) == per_pattern_expected_dof(k, p, run)
+        assert len(codes) == 14
 
     def test_k1_single_link(self):
         a = MessageAssignment(1, (frozenset({1}),))

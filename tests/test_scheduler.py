@@ -111,10 +111,10 @@ class TestScheduleNetwork:
 
 class TestDecisionPassCount:
     def test_count_matches_schedule_network(self):
-        # The pass's count equals the size of the delivered set that
-        # schedule_network builds from its record, on every pattern. Resumed
-        # user by user it counts the same, and each state names no transmit
-        # set: it is (i, own1, cancel1, busy1, busy2, near).
+        # The pass's count of users equals the size of the delivered set
+        # that schedule_network builds from its lists, on every pattern.
+        # Stepped one user per call it counts the same, and each state
+        # names no transmit set: it is (i, own1, cancel1, busy1, busy2, near).
         for k in range(1, 7):
             rng = np.random.default_rng(derive_seed(62, k))
             family = [random_assignment(k, rng) for _ in range(4)]
@@ -122,15 +122,14 @@ class TestDecisionPassCount:
                 family += [build_assignment(k, 0), build_assignment(k, Fraction(3, 5))]
             family += [remove_transmitter(a, k) for a in family]
             for r in all_realizations(k):
+                links = (False, *r.cross)
                 for a in family:
-                    count, _ = decision_pass(r.direct, r.cross, a.shape)
+                    count = len(decision_pass(r.direct, links, a.shape)[0])
                     assert count == len(schedule_network(r, a).delivered)
                     total, state = 0, LINE_START
-                    for i in range(1, k + 1):
-                        got, state = decision_pass(
-                            r.direct, r.cross, a.shape[:i], state=state
-                        )
-                        total += got
+                    for i, (d0, link, code) in enumerate(zip(r.direct, links, a.shape), start=1):
+                        users, _, state = decision_pass((d0,), (link,), (code,), state)
+                        total += len(users)
                         assert tuple(map(type, state)) == (int, bool, bool, bool, bool, bool)
                         assert state[0] == i
                     assert total == count
@@ -163,20 +162,22 @@ class TestShapeDecides:
 
 class TestResumedDecisionPass:
     def test_user_by_user_equals_one_pass(self):
-        # Resuming from the returned state, one user per call, makes the
-        # same decisions, counts and final state as one uninterrupted scan.
+        # One-user calls, each resuming from the state the last returned,
+        # concatenate to the same users and entries, count and final state
+        # as one uninterrupted scan.
         for t in range(300):
             r, a = random_case(t)
-            whole = ([], [])
-            count, end = decision_pass(r.direct, r.cross, a.shape, whole)
+            links = (False, *r.cross)
+            users, entries, end = decision_pass(r.direct, links, a.shape)
+            count = len(users)
             steps = ([], [])
             total, state = 0, LINE_START
-            for i in range(1, r.k + 1):
-                got, state = decision_pass(
-                    r.direct, r.cross, a.shape[:i], steps, state
-                )
-                total += got
-            assert steps == whole
+            for d0, link, code in zip(r.direct, links, a.shape):
+                got, sent, state = decision_pass((d0,), (link,), (code,), state)
+                steps[0].extend(got)
+                steps[1].extend(sent)
+                total += len(got)
+            assert steps == (users, entries)
             assert (total, state) == (count, end)
             assert count == len(schedule_network(r, a).delivered)
 

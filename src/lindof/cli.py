@@ -208,10 +208,10 @@ def cmd_trace(args) -> int:
             raise ValueError("--p is required when no realization string is given")
         r = sample_realization(args.k, args.p, args.seed)
     a = build_assignment(r.k, f)
-    r = attach_generic_coefficients(r, args.coeff_seed)
+    gains = attach_generic_coefficients(r, args.coeff_seed)
     s = schedule_network(r, a)
-    plan = build_transmit_signals(s, r)
-    report = verify_zero_forcing(plan, s, r)
+    plan = build_transmit_signals(s, gains)
+    report = verify_zero_forcing(plan, s, gains)
 
     print(f"realization: {realization_to_string(r)}")
     print("assignment:")

@@ -116,19 +116,17 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """Survival pattern (and optional link gains) of one erasure draw.
+    """Survival pattern of one erasure draw.
 
     ``direct[i-1]`` is True iff the transmitter-i -> receiver-i link
     survived; ``cross[i-1]`` is True iff the transmitter-i ->
-    receiver-(i+1) link survived. Gains, when attached, are exactly zero
-    on erased links and nonzero on surviving ones.
+    receiver-(i+1) link survived. Gains are a separate value, from
+    `attach_generic_coefficients`.
     """
 
     k: int
     direct: tuple[bool, ...]
     cross: tuple[bool, ...]
-    direct_gain: tuple[complex, ...] | None = None
-    cross_gain: tuple[complex, ...] | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -137,26 +135,6 @@ class NetworkRealization:
             raise ValueError(f"expected {self.k} direct links, got {len(self.direct)}")
         if len(self.cross) != self.k - 1:
             raise ValueError(f"expected {self.k - 1} cross links, got {len(self.cross)}")
-        for gains, links, name in (
-            (self.direct_gain, self.direct, "direct"),
-            (self.cross_gain, self.cross, "cross"),
-        ):
-            if gains is None:
-                continue
-            if len(gains) != len(links):
-                raise ValueError(f"{name} gains: expected {len(links)} values, got {len(gains)}")
-            if tuple(map(bool, gains)) == links:
-                continue
-            # Some gain disagrees with its link: name the first one.
-            for idx, (present, gain) in enumerate(zip(links, gains), start=1):
-                if present and gain == 0:
-                    raise ValueError(f"surviving {name} link {idx} has zero gain")
-                if not present and gain != 0:
-                    raise ValueError(f"erased {name} link {idx} has nonzero gain")
-
-    @property
-    def has_gains(self) -> bool:
-        return self.direct_gain is not None and self.cross_gain is not None
 
 
 def _check_k_p(k: int, p: float) -> None:
@@ -228,31 +206,26 @@ def all_realizations(k: int) -> Iterator[NetworkRealization]:
         )
 
 
-def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> NetworkRealization:
+def attach_generic_coefficients(r: NetworkRealization, trial_seed: int) -> tuple[tuple, tuple]:
     """Give every surviving link an independent complex-normal gain.
 
-    A draw is redone while its magnitude is below MIN_GAIN_MAGNITUDE, so
-    cancellation ratios formed from these gains stay well conditioned.
-    Erased links get exactly zero. One block of 2n normals is drawn for
-    the n surviving links and read pair by pair in link order (direct
-    links, then cross links), skipping rejected pairs; two more are drawn
-    each time the block runs out. Generator's normal stream is the same
-    however it is split into calls, so this gives exactly the gains of
-    one two-normal draw per attempt.
+    Returns the pair (direct gains, cross gains), laid out as ``r.direct``
+    and ``r.cross``: exactly zero on erased links, and redrawn while below
+    MIN_GAIN_MAGNITUDE on surviving ones, so cancellation ratios formed
+    from these gains stay well conditioned. The kept pairs are the first
+    passing pairs of one normal stream, in link order (direct links, then
+    cross links); each call draws only the pairs still missing, and
+    Generator's normal stream is the same however it is split into calls,
+    so this gives exactly the gains of one two-normal draw per attempt.
     """
     rng = np.random.default_rng(trial_seed)
     wanted = sum(r.direct) + sum(r.cross)
     floor = MIN_GAIN_MAGNITUDE
-    # Every pair of the block is read before the first top-up, so the
-    # kept pairs are the block's passing pairs, then passing top-ups.
-    draws = [gain for gain in _draw_gains(rng, wanted) if abs(gain) >= floor]
+    draws: list[complex] = []
     while len(draws) < wanted:
-        draws += [gain for gain in _draw_gains(rng, 1) if abs(gain) >= floor]
+        draws += [gain for gain in _draw_gains(rng, wanted - len(draws)) if abs(gain) >= floor]
     pairs = iter(draws)
-    return NetworkRealization(
-        r.k,
-        r.direct,
-        r.cross,
+    return (
         tuple([next(pairs) if present else 0j for present in r.direct]),
         tuple([next(pairs) if present else 0j for present in r.cross]),
     )

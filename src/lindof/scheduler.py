@@ -131,7 +131,7 @@ def schedule_network(r: NetworkRealization, a: MessageAssignment) -> Schedule:
     return Schedule(r.k, frozenset(entries), frozenset(users))
 
 
-def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int, complex], ...]:
+def build_transmit_signals(s: Schedule, gains: tuple) -> tuple[dict[int, complex], ...]:
     """Turn decisions into transmit weights, one schedule entry at a time.
 
     Returns one dict per transmitter: entry t-1 maps every message that
@@ -139,17 +139,16 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int
     unit weight. A cancellation emission carries the exact gain ratio
     that nulls the message at the one receiver it would otherwise
     disturb: transmitter t nulls message t-1 at receiver t, and message
-    t+2 at receiver t+1. An entry (m, t) must be one of
-    (t, t), (t+1, t), (t-1, t) and (t+2, t) with m and t in 1..k, else
-    ValueError; a cancellation over an erased link is RuntimeError.
+    t+2 at receiver t+1. `gains` is the (direct, cross) pair that
+    `network.attach_generic_coefficients` returns; a zero gain marks an
+    erased link. An entry (m, t) must be one of (t, t), (t+1, t),
+    (t-1, t) and (t+2, t) with m and t in 1..k, else ValueError; a
+    cancellation over an erased link is RuntimeError.
     """
-    k = r.k
+    direct_gain, cross_gain = gains
+    k = len(direct_gain)
     if k != s.k:
-        raise ValueError(f"realization has k={k} but schedule has k={s.k}")
-    if not r.has_gains:
-        raise ValueError("realization has no gains attached")
-    direct, cross = r.direct, r.cross
-    direct_gain, cross_gain = r.direct_gain, r.cross_gain
+        raise ValueError(f"gains have k={k} but schedule has k={s.k}")
     weights: list[dict[int, complex]] = [{} for _ in range(k)]
     for m, t in s.entries:
         if not (0 < t <= k and 0 < m <= k):
@@ -157,13 +156,13 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int
         if m == t or m == t + 1:
             weights[t - 1][m] = 1 + 0j
         elif m == t - 1:
-            if not (cross[t - 2] and direct[t - 1]):
+            if not (cross_gain[t - 2] and direct_gain[t - 1]):
                 raise RuntimeError(
                     f"transmitter {t}: cancelling message {m} needs links that are erased"
                 )
             weights[t - 1][m] = -cross_gain[t - 2] / direct_gain[t - 1]
         elif m == t + 2:
-            if not (direct[t] and cross[t - 1]):
+            if not (direct_gain[t] and cross_gain[t - 1]):
                 raise RuntimeError(
                     f"transmitter {t}: cancelling message {m} needs links that are erased"
                 )
@@ -188,24 +187,23 @@ class ZeroForcingReport(NamedTuple):
 def verify_zero_forcing(
     weights: Sequence[dict[int, complex]],
     s: Schedule,
-    r: NetworkRealization,
+    gains: tuple,
 ) -> ZeroForcingReport:
     """Numerically confirm the zero-forcing contract under attached gains.
 
     `weights` holds one dict per transmitter, as `build_transmit_signals`
-    returns them. For every active (delivered-to) receiver the net
-    coefficient of each message is accumulated over the two incoming
-    links. The check passes iff the receiver's own message survives with
-    magnitude at least MIN_DESIRED_MAGNITUDE and every other message is
-    suppressed below MAX_INTERFERENCE_RATIO relative to it. Inactive
-    receivers may see anything.
+    returns them, and `gains` the (direct, cross) pair they were built
+    from. For every active (delivered-to) receiver the net coefficient of
+    each message is accumulated over the two incoming links. The check
+    passes iff the receiver's own message survives with magnitude at
+    least MIN_DESIRED_MAGNITUDE and every other message is suppressed
+    below MAX_INTERFERENCE_RATIO relative to it. Inactive receivers may
+    see anything.
     """
-    if not r.has_gains:
-        raise ValueError("realization has no gains attached")
-    k = r.k
+    direct_gain, cross_gain = gains
+    k = len(direct_gain)
     if k != s.k or len(weights) != s.k:
-        raise ValueError("plan, schedule and realization sizes disagree")
-    direct_gain, cross_gain = r.direct_gain, r.cross_gain
+        raise ValueError("plan, schedule and gains sizes disagree")
     checks = []
     failures = []
     for i in sorted(s.delivered):

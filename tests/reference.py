@@ -7,7 +7,10 @@ own, for the cluster checks; `helper_fraction` counts the helpers an
 assignment really has, for the assignment-family tests;
 `build_transmit_signals` and `verify_zero_forcing` are the
 transmitter-by-transmitter beamforming and the per-link zero-forcing
-check that the shipped entry-driven versions must match.
+check that the shipped entry-driven versions must match. They read link
+survival from the realization, where the shipped ones read it from the
+gains, so a match also shows that the gains are zero exactly on the
+erased links.
 """
 
 from __future__ import annotations
@@ -143,8 +146,10 @@ def feasible(cfg: CarrierConfig, r: NetworkRealization) -> bool:
     return True
 
 
-def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int, complex], ...]:
-    """Turn decisions into transmit weights.
+def build_transmit_signals(
+    s: Schedule, r: NetworkRealization, gains: tuple
+) -> tuple[dict[int, complex], ...]:
+    """Turn decisions into transmit weights under the gain pair `gains`.
 
     Deliveries transmit at unit weight. A cancellation emission carries
     the exact gain ratio that nulls the message at the one receiver it
@@ -153,8 +158,7 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int
     """
     if r.k != s.k:
         raise ValueError(f"realization has k={r.k} but schedule has k={s.k}")
-    if not r.has_gains:
-        raise ValueError("realization has no gains attached")
+    direct_gain, cross_gain = gains
     weights = []
     for t in range(1, r.k + 1):
         w: dict[int, complex] = {}
@@ -167,13 +171,13 @@ def build_transmit_signals(s: Schedule, r: NetworkRealization) -> tuple[dict[int
                 raise RuntimeError(
                     f"transmitter {t}: cancelling message {t - 1} needs links that are erased"
                 )
-            w[t - 1] = -r.cross_gain[t - 2] / r.direct_gain[t - 1]
+            w[t - 1] = -cross_gain[t - 2] / direct_gain[t - 1]
         if t + 2 <= r.k and (t + 2, t) in s.entries:
             if not (r.direct[t] and r.cross[t - 1]):
                 raise RuntimeError(
                     f"transmitter {t}: cancelling message {t + 2} needs links that are erased"
                 )
-            w[t + 2] = -r.direct_gain[t] / r.cross_gain[t - 1]
+            w[t + 2] = -direct_gain[t] / cross_gain[t - 1]
         weights.append(w)
     return tuple(weights)
 
@@ -182,8 +186,9 @@ def verify_zero_forcing(
     plan: Sequence[dict[int, complex]],
     s: Schedule,
     r: NetworkRealization,
+    gains: tuple,
 ) -> ZeroForcingReport:
-    """Numerically confirm the zero-forcing contract under attached gains.
+    """Numerically confirm the zero-forcing contract under the gain pair `gains`.
 
     For every active (delivered-to) receiver the net coefficient of each
     message is accumulated over the two incoming links. The check passes
@@ -192,19 +197,18 @@ def verify_zero_forcing(
     MAX_INTERFERENCE_RATIO relative to it. Inactive receivers may see
     anything.
     """
-    if not r.has_gains:
-        raise ValueError("realization has no gains attached")
     if r.k != s.k or len(plan) != s.k:
         raise ValueError("plan, schedule and realization sizes disagree")
+    direct_gain, cross_gain = gains
     checks = []
     failures = []
     for i in sorted(s.delivered):
         net: dict[int, complex] = {}
-        incoming = [(i, r.direct_gain[i - 1])]
+        incoming = [(i, r.direct[i - 1], direct_gain[i - 1])]
         if i >= 2:
-            incoming.append((i - 1, r.cross_gain[i - 2]))
-        for t, gain in incoming:
-            if gain == 0:
+            incoming.append((i - 1, r.cross[i - 2], cross_gain[i - 2]))
+        for t, present, gain in incoming:
+            if not present:
                 continue
             for m, w in plan[t - 1].items():
                 net[m] = net.get(m, 0j) + gain * w

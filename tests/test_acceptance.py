@@ -204,9 +204,9 @@ def test_criterion_6_zero_forcing_soundness():
         r = sample_realization(k, p, derive_seed(ACC_SEED, 60, t))
         a = random_assignment(k, rng)
         s = schedule_network(r, a)
-        r = attach_generic_coefficients(r, derive_seed(ACC_SEED, 61, t))
-        plan = build_transmit_signals(s, r)
-        report = verify_zero_forcing(plan, s, r)
+        gains = attach_generic_coefficients(r, derive_seed(ACC_SEED, 61, t))
+        plan = build_transmit_signals(s, gains)
+        report = verify_zero_forcing(plan, s, gains)
         if not report.passed:
             failures.append((t, report.failures))
     ok = not failures

@@ -5,10 +5,13 @@ by `getattr` on `lindof.<module>`, and reads the trials of each
 `montecarlo.estimate_pudof` call from its fourth positional argument.
 The benchmark's Monte Carlo fault hooks patch
 `lindof.montecarlo.schedule_network`, and its Monte Carlo workloads
-build a `SweepConfig` each round. The benchmark's own tests are not in
-this suite, so a deleted name, a moved argument or a config the
-workloads can no longer build would otherwise pass here, or zero a
-traced metric without failing anything.
+build a `SweepConfig` each round. Its certification workload passes
+what `network.attach_generic_coefficients` returns straight to
+`scheduler.build_transmit_signals` and `verify_zero_forcing`. The
+benchmark's own tests are not in this suite, so a deleted name, a moved
+argument, a changed certification call or a config the workloads can no
+longer build would otherwise pass here, or zero a traced metric without
+failing anything.
 """
 
 import dataclasses
@@ -70,3 +73,15 @@ def test_serial_sweep_estimates_each_row_once(monkeypatch, name):
     rows = montecarlo.sweep(cfg)
     assert len(calls) == len(rows) == cfg.p_count() * len(cfg.assignments)
     assert all(len(args) >= 4 and args[3] == cfg.trials for args in calls)
+
+
+def test_certify_round_passes_its_checks(tmp_path):
+    # the exact_certify call chain once, through the workload's own code
+    # and stored references, with one random assignment per K
+    certify = workloads.CertifyWorkload(random_per_k=1)
+    certify.setup(workloads.load_refs(PERFBENCH / "refs" / "references.json"), tmp_path)
+    result = certify.run_round(certify.inputs(0, 0))
+    tally = workloads.Tally()
+    certify.check_round(result, tally)
+    assert result.realizations > 0 and tally.attempted > 0
+    assert tally.failed == 0, tally.messages

@@ -244,8 +244,7 @@ def test_seed_sequence_pads_a_short_last_value(v):
 class TestCoefficients:
     def test_all_absent_gives_zero_gains(self):
         r = NetworkRealization(4, (False,) * 4, (False,) * 3)
-        g = attach_generic_coefficients(r, 5)
-        assert g.direct_gain == (0j,) * 4 and g.cross_gain == (0j,) * 3
+        assert attach_generic_coefficients(r, 5) == ((0j,) * 4, (0j,) * 3)
 
     def test_deterministic(self):
         r = sample_realization(8, 0.4, 11)
@@ -254,8 +253,9 @@ class TestCoefficients:
     def test_magnitude_floor(self):
         for t in range(50):
             r = sample_realization(6, 0.3, derive_seed(1, t))
-            g = attach_generic_coefficients(r, t)
-            for present, gain in zip(g.direct + g.cross, g.direct_gain + g.cross_gain):
+            direct_gain, cross_gain = attach_generic_coefficients(r, t)
+            assert (len(direct_gain), len(cross_gain)) == (len(r.direct), len(r.cross))
+            for present, gain in zip(r.direct + r.cross, direct_gain + cross_gain):
                 if present:
                     assert abs(gain) >= MIN_GAIN_MAGNITUDE
                 else:
@@ -268,25 +268,12 @@ class TestCoefficients:
         for k in range(1, 6):
             for r in all_realizations(k):
                 for seed in (0, 7, derive_seed(5, k)):
-                    g = attach_generic_coefficients(r, seed)
                     direct, cross, misses = per_pair_gains(r, seed)
-                    assert (g.k, g.direct, g.cross) == (r.k, r.direct, r.cross)
-                    assert g.direct_gain == direct and g.cross_gain == cross
+                    assert attach_generic_coefficients(r, seed) == (direct, cross)
                     rejected += misses
         # at 0.7 about two draws in five are redone, so the draw is
         # topped up on most patterns with several surviving links
         assert (rejected > 1000) == (floor == 0.7)
-
-    def test_gain_consistency_enforced(self):
-        with pytest.raises(ValueError, match="^erased direct link 2 has nonzero gain$"):
-            NetworkRealization(2, (True, False), (True,), (1 + 0j, 2j), (0.5 + 0j,))
-        with pytest.raises(ValueError, match="^surviving direct link 2 has zero gain$"):
-            NetworkRealization(2, (True, True), (True,), (1 + 0j, 0j), (0.5 + 0j,))
-        with pytest.raises(ValueError, match="^cross gains: expected 1 values, got 2$"):
-            NetworkRealization(2, (True, True), (True,), (1 + 0j, 2j), (0.5 + 0j, 0j))
-        # the first disagreeing link is named, not a later one
-        with pytest.raises(ValueError, match="^surviving cross link 2 has zero gain$"):
-            NetworkRealization(4, (True,) * 4, (False, True, False), (1j,) * 4, (0j, 0j, 1j))
 
 
 def test_link_counts_checked():

@@ -233,93 +233,100 @@ class TestScheduleInvariants:
 class TestBeamforming:
     def _k5_setup(self):
         a = build_assignment(5, Fraction(3, 5))
-        r = attach_generic_coefficients(parse_realization("5;11111;1111"), 17)
+        r = parse_realization("5;11111;1111")
+        gains = attach_generic_coefficients(r, 17)
         s = schedule_network(r, a)
-        return r, s, build_transmit_signals(s, r)
+        return gains, s, build_transmit_signals(s, gains)
 
     def test_k5_weights(self):
-        r, s, plan = self._k5_setup()
+        (direct_gain, cross_gain), s, plan = self._k5_setup()
         assert plan[0] == {1: 1 + 0j}
         tx2 = plan[1]
         assert tx2[2] == 1 + 0j
-        assert tx2[1] == -r.cross_gain[0] / r.direct_gain[1]
+        assert tx2[1] == -cross_gain[0] / direct_gain[1]
         tx3 = plan[2]
         assert tx3[4] == 1 + 0j
-        assert tx3[5] == -r.direct_gain[3] / r.cross_gain[2]
+        assert tx3[5] == -direct_gain[3] / cross_gain[2]
         assert plan[3] == {5: 1 + 0j}
         assert plan[4] == {}
 
     def test_empty_schedule_all_silent(self):
-        r = attach_generic_coefficients(parse_realization("3;000;00"), 1)
+        r = parse_realization("3;000;00")
         s = schedule_network(r, build_assignment(3, 0))
-        plan = build_transmit_signals(s, r)
+        plan = build_transmit_signals(s, attach_generic_coefficients(r, 1))
         assert plan == ({}, {}, {})
 
     def test_single_entry(self):
-        r = attach_generic_coefficients(parse_realization("3;100;00"), 1)
+        gains = attach_generic_coefficients(parse_realization("3;100;00"), 1)
         s = Schedule(3, frozenset({(1, 1)}), frozenset({1}))
-        plan = build_transmit_signals(s, r)
+        plan = build_transmit_signals(s, gains)
         assert plan[0] == {1: 1 + 0j}
         assert plan[1] == {} and plan[2] == {}
 
     def test_requires_gains(self):
+        # a bare realization cannot be unpacked as a gain pair
         r = parse_realization("3;111;11")
         s = schedule_network(r, build_assignment(3, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_transmit_signals(s, r)
+        plan = build_transmit_signals(s, attach_generic_coefficients(r, 1))
+        with pytest.raises(TypeError):
+            verify_zero_forcing(plan, s, r)
 
     @pytest.mark.parametrize("entry", [(0, 1), (4, 3), (5, 3), (1, 3)])
     def test_entry_outside_the_line_or_reach_is_rejected(self, entry):
         # (0, 1) once read cross link 0 as cross[-1], (4, 3) weighted a
         # message the line lacks, (5, 3) and (1, 3) were dropped silently
-        r = attach_generic_coefficients(parse_realization("3;111;11"), 1)
+        gains = attach_generic_coefficients(parse_realization("3;111;11"), 1)
         s = Schedule(3, frozenset({(1, 1), entry}), frozenset({1}))
         with pytest.raises(ValueError, match=re.escape(str(entry))):
-            build_transmit_signals(s, r)
+            build_transmit_signals(s, gains)
 
     def test_cancellation_over_erased_link_is_invariant_violation(self):
         # hand-built schedule demanding a null through a dead link
-        r = attach_generic_coefficients(parse_realization("3;101;11"), 1)
+        gains = attach_generic_coefficients(parse_realization("3;101;11"), 1)
         s = Schedule(3, frozenset({(2, 2), (1, 2)}), frozenset({2}))
         with pytest.raises(RuntimeError):
-            build_transmit_signals(s, r)
+            build_transmit_signals(s, gains)
 
 
 class TestVerifyZeroForcing:
     def test_scheduled_plans_pass(self):
         for t in range(300):
             r, a = random_case(t)
-            r = attach_generic_coefficients(r, derive_seed(5, t))
+            gains = attach_generic_coefficients(r, derive_seed(5, t))
             s = schedule_network(r, a)
-            plan = build_transmit_signals(s, r)
-            report = verify_zero_forcing(plan, s, r)
+            plan = build_transmit_signals(s, gains)
+            report = verify_zero_forcing(plan, s, gains)
             assert report.passed, report.failures
 
     def test_all_erased_vacuous_pass(self):
-        r = attach_generic_coefficients(parse_realization("4;0000;000"), 2)
+        r = parse_realization("4;0000;000")
+        gains = attach_generic_coefficients(r, 2)
         s = schedule_network(r, build_assignment(4, 0))
-        report = verify_zero_forcing(build_transmit_signals(s, r), s, r)
+        report = verify_zero_forcing(build_transmit_signals(s, gains), s, gains)
         assert report.passed and not report.checks
 
     def test_zeroed_delivery_weight_fails_with_receiver(self):
         a = build_assignment(5, Fraction(3, 5))
-        r = attach_generic_coefficients(parse_realization("5;11111;1111"), 17)
+        r = parse_realization("5;11111;1111")
+        gains = attach_generic_coefficients(r, 17)
         s = schedule_network(r, a)
-        plan = build_transmit_signals(s, r)
+        plan = build_transmit_signals(s, gains)
         broken = tuple(dict(w) for w in plan)
         broken[1][2] = 0j  # silence the delivery of message 2 at transmitter 2
-        report = verify_zero_forcing(broken, s, r)
+        report = verify_zero_forcing(broken, s, gains)
         assert not report.passed
         assert any("receiver 2" in f for f in report.failures)
 
     @pytest.mark.parametrize("delivered", [{0, 1}, {3, 4}])
     def test_delivered_user_outside_the_line_is_rejected(self, delivered):
-        r = attach_generic_coefficients(parse_realization("3;111;11"), 1)
+        gains = attach_generic_coefficients(parse_realization("3;111;11"), 1)
         s = Schedule(3, frozenset({(1, 1), (3, 3)}), frozenset(delivered))
-        plan = build_transmit_signals(s, r)
+        plan = build_transmit_signals(s, gains)
         bad = min(delivered) if min(delivered) < 1 else max(delivered)
         with pytest.raises(ValueError, match=f"delivered user {bad} lies outside 1..3"):
-            verify_zero_forcing(plan, s, r)
+            verify_zero_forcing(plan, s, gains)
 
 
 class TestAgainstReference:
@@ -339,14 +346,14 @@ class TestAgainstReference:
                 ]
             for a in members:
                 for r in all_realizations(k):
-                    r = attach_generic_coefficients(r, seed)
+                    gains = attach_generic_coefficients(r, seed)
                     seed += 1
                     s = schedule_network(r, a)
-                    plan = build_transmit_signals(s, r)
-                    assert plan == reference.build_transmit_signals(s, r)
+                    plan = build_transmit_signals(s, gains)
+                    assert plan == reference.build_transmit_signals(s, r, gains)
                     bare = tuple({m: w for m, w in ws.items() if w == 1} for ws in plan)
                     for p in (plan, bare):
-                        report = verify_zero_forcing(p, s, r)
-                        assert report == reference.verify_zero_forcing(p, s, r)
+                        report = verify_zero_forcing(p, s, gains)
+                        assert report == reference.verify_zero_forcing(p, s, r, gains)
                         failing += not report.passed
         assert failing > 100

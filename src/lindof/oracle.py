@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 
 from .assignment import MessageAssignment, remove_transmitter
-from .network import NetworkRealization
+from .network import NetworkRealization, _check_k_p
 from .scheduler import LINE_START, decision_pass
 
 ORACLE_K_LIMIT = 10  # exhaustive carrier search
@@ -116,8 +116,7 @@ def exact_expected_dof(
     result a polynomial in p, evaluated by compensated summation, so it
     is order-independent.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
+    _check_k_p(k, p)
     if k > MAX_EXACT_K:
         raise ValueError(f"exact expectation needs k at most {MAX_EXACT_K}, got k={k}")
     if a.k != k:

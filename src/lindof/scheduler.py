@@ -37,10 +37,6 @@ class Schedule:
     entries: frozenset[tuple[int, int]]
     delivered: frozenset[int]
 
-    def b(self, i: int, j: int) -> bool:
-        """Decision variable; out-of-range indices read as 0."""
-        return (i, j) in self.entries
-
 
 # Scan state before user 1. After user i the state is (i, own and cancel
 # of user i, busy_i, busy_{i-1}, whether cross link i-1 survived), where

@@ -3,8 +3,10 @@
 None of this runs in `lindof` itself. `feasible` states the zero-forcing
 rule literally, per carrier configuration, for the oracle tests;
 `schedule_cluster` and `restrict_to_cluster` decide one cluster on its
-own, for the cluster checks; `helper_fraction` counts the helpers an
-assignment really has, for the assignment-family tests;
+own; `schedule_problems`, `cluster_union` and `prefix_agrees` state the
+schedule contract, cluster additivity and prefix stability once each,
+for the scheduler and acceptance tests; `helper_fraction` counts the
+helpers an assignment really has, for the assignment-family tests;
 `build_transmit_signals` and `verify_zero_forcing` are the
 transmitter-by-transmitter beamforming and the per-link zero-forcing
 check that the shipped entry-driven versions must match. They read link
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from lindof.assignment import MessageAssignment
-from lindof.network import Cluster, NetworkRealization
+from lindof.network import Cluster, NetworkRealization, partition_into_clusters
 from lindof.scheduler import (
     MAX_INTERFERENCE_RATIO,
     MIN_DESIRED_MAGNITUDE,
@@ -75,6 +77,61 @@ def schedule_cluster(
     """
     r = NetworkRealization(n, tuple(direct), (True,) * (n - 1))
     return schedule_network(r, MessageAssignment(n, tuple(transmit_sets)))
+
+
+def schedule_problems(s: Schedule, a: MessageAssignment) -> list[tuple[str, object]]:
+    """Every broken clause of the schedule contract, as (clause, where).
+
+    An entry (i, j) needs j in T_i and i-2 <= j <= i+1; message i is never
+    sent from both i-1 and i; a helper (i, i-2) needs the delivery
+    (i, i-1), and a helper (i, i+1) the self-deliveries of i and i+1;
+    the delivered set holds exactly the messages i sent from i-1 or i.
+    """
+    e = s.entries
+    problems: list[tuple[str, object]] = []
+    for i, j in sorted(e):
+        if j not in a.transmit_sets[i - 1] or not (i - 2 <= j <= i + 1):
+            problems.append(("knowledge/band", (i, j)))
+    for i in range(1, s.k + 1):
+        if (i, i - 1) in e and (i, i) in e:
+            problems.append(("double delivery", i))
+        if (i, i - 2) in e and (i, i - 1) not in e:
+            problems.append(("orphan backward helper", i))
+        if (i, i + 1) in e and not ((i, i) in e and (i + 1, i + 1) in e):
+            problems.append(("orphan forward helper", i))
+    if s.delivered != {i for i in range(1, s.k + 1) if (i, i - 1) in e or (i, i) in e}:
+        problems.append(("delivered set", None))
+    return problems
+
+
+def cluster_union(r: NetworkRealization, a: MessageAssignment) -> Schedule:
+    """Each cluster scheduled on its own, in local indices, then shifted
+    back by its start - 1: the schedule of the whole line if no decision
+    reaches across an erased cross link."""
+    entries, delivered = set(), set()
+    for c in partition_into_clusters(r):
+        off = c.start - 1
+        local = restrict_to_cluster(a, c).transmit_sets
+        part = schedule_cluster(c.size, r.direct[off : c.end], local)
+        entries |= {(i + off, j + off) for i, j in part.entries}
+        delivered |= {i + off for i in part.delivered}
+    return Schedule(r.k, frozenset(entries), frozenset(delivered))
+
+
+def prefix_agrees(
+    direct: Sequence[bool], transmit_sets: Sequence[frozenset[int]], m: int
+) -> bool:
+    """Do one cluster and its first m users alone send messages 1..m-2 alike?
+
+    The prefix keeps only transmitters 1..m.
+    """
+    full = schedule_cluster(len(direct), direct, transmit_sets)
+    prefix_sets = tuple(frozenset(x for x in ts if x <= m) for ts in transmit_sets[:m])
+    pref = schedule_cluster(m, direct[:m], prefix_sets)
+    cutoff = m - 2
+    return {e for e in full.entries if e[0] <= cutoff} == {
+        e for e in pref.entries if e[0] <= cutoff
+    }
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ what `network.attach_generic_coefficients` returns straight to
 benchmark's own tests are not in this suite, so a deleted name, a moved
 argument, a changed certification call or a config the workloads can no
 longer build would otherwise pass here, or zero a traced metric without
-failing anything.
+failing anything; so would a fault hook that no longer reaches the
+estimate.
 """
 
 import dataclasses
+from fractions import Fraction
 import importlib
 import importlib.util
 import sys
@@ -23,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from lindof import montecarlo, scheduler
+from lindof.assignment import build_assignment
+from lindof.network import sample_trials
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,6 +54,32 @@ def test_traced_layer_is_callable(module, name):
 
 def test_monte_carlo_fault_hook_is_the_scheduler():
     assert montecarlo.schedule_network is scheduler.schedule_network
+
+
+def test_monte_carlo_fault_hook_lowers_the_estimate(monkeypatch):
+    # the benchmark's fault: drop the first delivered message, rebuilding
+    # the Schedule positionally as its tests do; both trial paths must see it
+    a = build_assignment(5, Fraction(3, 5))
+    draw = list(sample_trials(5, 0.2, 7, range(50)))
+
+    def means():
+        blocks = montecarlo.estimate_pudof(5, 0.2, a, 50, 7)
+        drawn = montecarlo.estimate_pudof(5, 0.2, a, 50, 7, draw=draw)
+        return blocks[0], drawn[0]
+
+    right = means()
+
+    def wrong(r, a):
+        s = scheduler.schedule_network(r, a)
+        if not s.delivered:
+            return s
+        gone = min(s.delivered)
+        entries = frozenset(e for e in s.entries if e[0] != gone)
+        return scheduler.Schedule(s.k, entries, s.delivered - {gone})
+
+    monkeypatch.setattr(montecarlo, "schedule_network", wrong)
+    blocks, drawn = means()
+    assert blocks < right[0] and drawn < right[1]
 
 
 @pytest.mark.parametrize("name", sorted(MONTE_CARLO))

@@ -28,7 +28,7 @@ from lindof.scheduler import (
     verify_zero_forcing,
 )
 import reference
-from reference import restrict_to_cluster, schedule_cluster
+from reference import cluster_union, prefix_agrees, schedule_cluster, schedule_problems
 
 
 def random_case(t, max_k=20):
@@ -80,8 +80,7 @@ class TestScheduleNetwork:
         assert s.delivered == frozenset()
 
     def test_equals_union_of_cluster_passes(self):
-        # Each cluster scheduled on its own, in local indices, then shifted
-        # back by c.start - 1: the union is the whole scan's entries and
+        # The union of the cluster passes is the whole scan's entries and
         # delivered set, entry by entry, not only in count.
         split = 0
         for t in range(600):
@@ -89,18 +88,9 @@ class TestScheduleNetwork:
             family = [a]
             if r.k >= 3:
                 family += [build_assignment(r.k, 0), build_assignment(r.k, Fraction(3, 5))]
-            clusters = partition_into_clusters(r)
-            split += len(clusters) > 1
+            split += len(partition_into_clusters(r)) > 1
             for a in family:
-                entries, delivered = set(), set()
-                for c in clusters:
-                    off = c.start - 1
-                    local = restrict_to_cluster(a, c).transmit_sets
-                    part = schedule_cluster(c.size, r.direct[off : c.end], local)
-                    entries |= {(i + off, j + off) for i, j in part.entries}
-                    delivered |= {i + off for i in part.delivered}
-                s = schedule_network(r, a)
-                assert (s.entries, s.delivered) == (entries, delivered)
+                assert schedule_network(r, a) == cluster_union(r, a)
         assert split > 300  # most cases have an erased cross link
 
     def test_size_mismatch_rejected(self):
@@ -188,31 +178,13 @@ class TestScheduleInvariants:
     def test_structural_invariants_hold(self):
         for t in range(self.N_CASES):
             r, a = random_case(t)
-            s = schedule_network(r, a)
-            for i, j in s.entries:
-                assert j in a.transmit_sets[i - 1]
-                assert i - 2 <= j <= i + 1
-                assert 1 <= j <= r.k
-            for i in range(1, r.k + 1):
-                assert not (s.b(i, i - 1) and s.b(i, i))
-                if s.b(i, i - 2):
-                    assert s.b(i, i - 1)
-                if s.b(i, i + 1):
-                    assert s.b(i, i) and s.b(i + 1, i + 1)
-            assert s.delivered == frozenset(
-                i for i in range(1, r.k + 1) if s.b(i, i - 1) or s.b(i, i)
-            )
+            assert schedule_problems(schedule_network(r, a), a) == []
 
     def test_cluster_additivity(self):
         for t in range(self.N_CASES):
             r, a = random_case(t)
             s = schedule_network(r, a)
-            total = 0
-            for c in partition_into_clusters(r):
-                local = restrict_to_cluster(a, c)
-                local_s = schedule_cluster(c.size, r.direct[c.start - 1 : c.end], local.transmit_sets)
-                total += len(local_s.delivered)
-            assert len(s.delivered) == total
+            assert len(s.delivered) == len(cluster_union(r, a).delivered)
 
     def test_prefix_stability(self):
         rng = np.random.default_rng(99)
@@ -221,13 +193,32 @@ class TestScheduleInvariants:
             direct = tuple(bool(b) for b in rng.integers(0, 2, size=n))
             tsets = random_assignment(n, rng).transmit_sets
             m = int(rng.integers(1, n + 1))
-            full = schedule_cluster(n, direct, tsets)
-            prefix_sets = tuple(frozenset(x for x in ts if x <= m) for ts in tsets[:m])
-            pref = schedule_cluster(m, direct[:m], prefix_sets)
-            cutoff = m - 2
-            assert {e for e in full.entries if e[0] <= cutoff} == {
-                e for e in pref.entries if e[0] <= cutoff
-            }
+            assert prefix_agrees(direct, tsets, m)
+
+
+class TestScheduleProblems:
+    # One hand-built schedule per clause, breaking that clause alone:
+    # (clause, where, transmit sets, entries, delivered set).
+    CASES = [
+        ("knowledge/band", (1, 4), [{1, 4}, {2}, {3}, {4}], {(1, 1), (1, 4)}, {1}),
+        ("knowledge/band", (2, 1), [{1}, {2}, {3}, {4}], {(2, 1)}, {2}),
+        ("double delivery", 2, [{1}, {1, 2}, {3}, {4}], {(2, 1), (2, 2)}, {2}),
+        ("orphan backward helper", 3, [{1}, {2}, {1, 2}, {4}], {(3, 1)}, set()),
+        ("orphan forward helper", 2, [{1}, {2, 3}, {3}, {4}], {(2, 2), (2, 3)}, {2}),
+        ("delivered set", None, [{1}, {2}, {3}, {4}], {(1, 1)}, {1, 2}),
+    ]
+
+    @pytest.mark.parametrize("clause, where, sets, entries, delivered", CASES)
+    def test_each_clause_fires_alone(self, clause, where, sets, entries, delivered):
+        a = MessageAssignment(len(sets), tuple(map(frozenset, sets)))
+        s = Schedule(a.k, frozenset(entries), frozenset(delivered))
+        assert schedule_problems(s, a) == [(clause, where)]
+
+    def test_family_schedules_keep_the_contract(self):
+        for k in (3, 4, 5):
+            for a in (build_assignment(k, 0), build_assignment(k, Fraction(3, 5))):
+                for r in all_realizations(k):
+                    assert schedule_problems(schedule_network(r, a), a) == []
 
 
 class TestBeamforming:

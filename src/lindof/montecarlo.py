@@ -254,9 +254,11 @@ def estimate_pudof(
 
 def _point_rows(cfg: SweepConfig, specs, point):
     """Yield the rows of grid point `point` = (index, p), one assignment
-    at a time, in order. Under shared realizations the point's trials
-    are drawn the first time a member of a network size needs them, and
-    every member of that size counts the same list."""
+    at a time, in order; `specs` pairs each spec with the assignment its
+    trials run, deactivated where the sweep deactivates. Under shared
+    realizations the point's trials are drawn the first time a member of
+    a network size needs them, and every member of that size counts the
+    same list."""
     pi, p = point
     draws: dict[int, list[NetworkRealization]] = {}
     if cfg.share_realizations:
@@ -275,7 +277,7 @@ def _point_rows(cfg: SweepConfig, specs, point):
             assignment,
             cfg.trials,
             seed,
-            deactivate_last=cfg.deactivate_last,
+            deactivate_last=False,
             draw=draw,
         )
         yield SweepRow(p, spec.label, spec.k, spec.f, cfg.trials, seed, mean, stderr)
@@ -302,7 +304,10 @@ def sweep(
     when it is done, and rows keep grid order; if anything raises, the
     points not yet started are cancelled.
     """
+    # each member as its trials run it, deactivated once a sweep
     specs = [(spec, spec.build()) for spec in cfg.assignments]
+    if cfg.deactivate_last:
+        specs = [(spec, remove_transmitter(a, spec.k)) for spec, a in specs]
     grid = cfg.p_grid()
     size = min(cfg.workers, os.cpu_count() or 1, len(grid))
     # A generator of rows here; a picklable list from a worker. At most

@@ -14,6 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Resampling floor for attached gains; keeps cancellation ratios well
 # conditioned without changing which schedules are feasible.
@@ -34,9 +35,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -105,13 +103,24 @@ def _trial_seeds(master_seed: int, trials: range) -> np.ndarray:
     return _seed_sequence_state(prefix, indices, 1)[:, 0]
 
 
-def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(state, inc) of `PCG64(seed)` for each uint64 seed in turn: w0..w3
-    = `SeedSequence(seed).generate_state(4, uint64)` seed the 128-bit LCG
-    as numpy's pcg64_set_seed does."""
-    for w0, w1, w2, w3 in _seed_sequence_state([], seeds, 4).tolist():
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        yield ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
+class _HashedSeed(ISeedSequence):
+    """The words `SeedSequence(seed).generate_state(4, uint64)` gives,
+    hashed ahead for a whole slab, for numpy's PCG64 to seed itself from:
+    `PCG64(_HashedSeed(words))` starts where `PCG64(seed)` does. `words`
+    must be contiguous, as PCG64 reads the returned array's buffer. A
+    request for other words raises, so a numpy that seeded PCG64 some
+    other way fails here instead of drawing another stream."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(
+                f"hashed seed holds {len(self.words)} {self.words.dtype} words,"
+                f" asked for {n_words} {np.dtype(dtype)}"
+            )
+        return self.words
 
 
 @dataclass(frozen=True)
@@ -164,29 +173,27 @@ def sample_trials(k: int, p: float, master_seed: int, trials: range) -> Iterator
     _check_k_p(k, p)
     if master_seed < 0:
         raise ValueError(f"master seed must be at least 0, got {master_seed}")
-    if trials and not 0 <= min(trials) <= max(trials) < 1 << 64:
+    # a range runs one way, so its two ends bound it
+    if trials and not (0 <= trials[0] < 1 << 64 and 0 <= trials[-1] < 1 << 64):
         raise ValueError(f"trial indices must lie in [0, 2**64), got {trials}")
     per_slab = max(1, SLAB_LINKS // (2 * k - 1))
-    for start in range(0, len(trials), per_slab):
-        for present in _slab_links(k, p, master_seed, trials[start : start + per_slab]):
+    # by each slab's first index: len() fails on 2**63 or more trials
+    for first in trials[::per_slab]:
+        slab = range(first, trials.stop, trials.step)[:per_slab]
+        for present in _slab_links(k, p, master_seed, slab):
             yield NetworkRealization(k, tuple(present[:k]), tuple(present[k:]))
 
 
 def _slab_links(k: int, p: float, master_seed: int, trials: range) -> list[list[bool]]:
     """The links of each trial of one slab, as `sample_realization` draws
-    them. The slab's trial seeds and generator start states are hashed
-    together; one generator is set to each trial's state and fills that
-    trial's row, and the slab is compared with p once."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
-    inner: dict[str, int] = {}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    them. The slab's trial seeds, and the four words SeedSequence makes
+    of each, are hashed together; numpy seeds each trial's PCG64 from its
+    words and fills that trial's row, and the slab is compared with p
+    once."""
     draws = np.empty((len(trials), 2 * k - 1))
-    states = _pcg64_states(_trial_seeds(master_seed, trials))
-    # each trial's state goes into the one dict the setter reads
-    for row, (inner["state"], inner["inc"]) in zip(draws, states):
-        bits.state = state
-        rng.random(out=row)
+    words = _seed_sequence_state([], _trial_seeds(master_seed, trials), 4)
+    for row, hashed in zip(draws, words):
+        np.random.Generator(np.random.PCG64(_HashedSeed(hashed))).random(out=row)
     return (draws >= p).tolist()
 
 

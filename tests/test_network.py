@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,14 +134,50 @@ class TestSlabSampling:
             assert list(sample_trials(5, 0.4, master_seed, trials)) == per_trial(5, 0.4, master_seed, trials)
 
     def test_generator_states_of_one_and_two_word_seeds(self):
-        # a derived trial seed below 2**32 is rare, so the state helper
-        # is checked on explicit seeds; numpy reads 0 as the word [0] and
+        # a derived trial seed below 2**32 is rare, so the hashed words
+        # are checked on explicit seeds; numpy reads 0 as the word [0] and
         # `_seed_sequence_state` pads it to [0, 0], which hashes the same
         seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        states = list(network._pcg64_states(np.array(seeds, dtype=np.uint64)))
-        for seed, state in zip(seeds, states):
-            expected = np.random.default_rng(seed).bit_generator.state["state"]
-            assert state == (expected["state"], expected["inc"])
+        words = network._seed_sequence_state([], np.array(seeds, dtype=np.uint64), 4)
+        for seed, row in zip(seeds, words):
+            state = np.random.PCG64(network._HashedSeed(row)).state
+            assert state == np.random.default_rng(seed).bit_generator.state
+
+    # (4,) asks for generate_state's default dtype, uint32
+    @pytest.mark.parametrize(
+        "request_args",
+        [(3, np.uint64), (5, np.uint64), (4, np.uint32), (8, np.uint32), (4, np.int64), (4,)],
+    )
+    def test_hashed_seed_refuses_any_other_request(self, request_args):
+        # a numpy that seeded PCG64 from other words would draw another
+        # stream; the hashed seed raises instead
+        words = network._seed_sequence_state([], np.array([7], dtype=np.uint64), 4)[0]
+        seed = network._HashedSeed(words)
+        assert seed.generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="hashed seed holds 4 uint64 words, asked for"):
+            seed.generate_state(*request_args)
+
+    def test_first_trial_of_a_huge_range_comes_at_once(self):
+        # the index check reads the range's two ends and the slabs step
+        # by their first index, so neither walks the range nor takes its
+        # len(), which fails from 2**63 on; run in a subprocess, so a walk
+        # fails on the timeout instead of hanging the suite
+        src = str(Path(network.__file__).resolve().parent.parent)
+        code = (
+            "from lindof.network import realization_to_string, sample_trials\n"
+            "for n in (2**62, 2**64):\n"
+            "    print(realization_to_string(next(sample_trials(5, 0.3, 1, range(n)))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first = realization_to_string(sample_realization(5, 0.3, derive_seed(1, 0)))
+        assert proc.stdout.splitlines() == [first, first]
 
     def test_range_longer_than_one_slab(self, monkeypatch):
         # at k=5 a slab of 50 links holds 5 trials: four whole slabs and a part
